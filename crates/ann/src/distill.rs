@@ -20,8 +20,7 @@
 //! knows the constant prefix for a period calls
 //! [`DistilledPolicy::prewalk`] + [`DistilledPolicy::fold`] once per
 //! period — folding every constant feature's affine contribution into
-//! per-leaf intercepts, the decision-tree analogue of the compiled
-//! path's layer-0 partial-sum fold — and then
+//! per-leaf intercepts — and then
 //! [`DistilledPolicy::predict_folded`] per decision, paying only
 //! `depth_vary` compares plus `out_dim × |varying|` multiply-adds on
 //! the hot path.
@@ -467,9 +466,7 @@ impl DistilledPolicy {
     }
 
     /// Folds the constant-prefix contribution of every leaf under
-    /// `cursor` into per-leaf intercepts — the decision-tree analogue
-    /// of the compiled path's per-period layer-0 partial-sum fold. Call
-    /// once per period (cursor and constant features change only at
+    /// `cursor` into per-leaf intercepts. Call once per period (cursor and constant features change only at
     /// period boundaries); `folded` is resized to
     /// [`DistilledPolicy::fold_len`] and is reusable across calls
     /// without reallocating. Only features `[0, const_prefix)` of `x`

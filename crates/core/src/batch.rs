@@ -12,16 +12,19 @@
 //! Per-scenario mutable state lives in a structure-of-arrays `Vec` of
 //! scenario states; immutable cross-scenario precomputation is built
 //! once behind an [`Arc`]ed [`PlanContext`]. At each period boundary
-//! the engine gathers the B DBN feature vectors into one matrix
-//! (grouping scenarios by `Arc` pointer identity of their shared
-//! network), runs a single batched forward per group, and hands each
-//! scenario its output row. Scenarios whose planner declines the batch
-//! slot — MPC backends, fixed baselines, demoted
+//! the engine gathers every batchable scenario's feature row together
+//! with the shared model it runs on — an `Arc`ed DBN, or the `Arc`ed
+//! fold table of a distilled artifact — groups the rows once by `Arc`
+//! pointer identity of that model, runs one batched inference per
+//! group (a batched forward, or fold-table lookups plus one batched
+//! leaf-kernel call), and hands each scenario its output row. Scenarios
+//! whose planner declines the batch slot — MPC backends, fixed
+//! baselines, compiled backends, demoted
 //! [`ResilientPlanner`](crate::resilient::ResilientPlanner)s, periods
 //! with an injected `Unavailable` fault — fall back to a plain
 //! [`PeriodPlanner::plan`] call for that period.
 //!
-//! Correctness is absolute: because the batched forward is bitwise
+//! Correctness is absolute: because each batched kernel is bitwise
 //! identical to per-sample inference and every other step reuses the
 //! sequential engine's own period step, a batched run is byte-identical
 //! to B sequential [`Engine::run`](crate::engine::Engine::run) calls.
@@ -32,11 +35,11 @@
 //! worker owns its shard's SoA state plus one [`BatchScratch`] (reused
 //! across periods, and — via [`BatchEngine::run_sharded_with`] —
 //! across whole runs, which is what the long-lived `helio-fleet`
-//! service does between requests); the [`PlanContext`] and any shared
-//! DBN `Arc`s are shared read-only across all workers. Because
-//! scenarios never interact — grouping only changes *how* inference is
-//! batched, not its bits — a sharded run is byte-identical to
-//! [`BatchEngine::run`] for every shard count.
+//! service does between requests); every worker reads the same
+//! [`PlanContext`] and shared models. Because scenarios never interact
+//! — grouping only changes *how* inference is batched, not its bits —
+//! a sharded run is byte-identical to [`BatchEngine::run`] for every
+//! shard count.
 
 use std::sync::Arc;
 
@@ -123,19 +126,42 @@ impl<'a> BatchScenario<'a> {
     }
 }
 
+/// The shared model behind one accepted batch slot: the network a DBN
+/// slot runs, or the fold table (which carries the distilled artifact)
+/// a distilled slot runs. Slots are grouped by `Arc` pointer identity
+/// of this handle, so one group is one batched inference call.
+enum SharedModel {
+    Dbn(Arc<Dbn>),
+    Fold(Arc<FoldTable>),
+}
+
+impl SharedModel {
+    /// Whether both handles point at the same shared model.
+    fn same(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Self::Dbn(a), Self::Dbn(b)) => Arc::ptr_eq(a, b),
+            (Self::Fold(a), Self::Fold(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
 /// Per-worker period scratch for one lockstep shard: feature rows,
-/// pending decisions, group bookkeeping, the gathered input/output
-/// matrices and the DBN forward scratch. Allocation-free in steady
-/// state — every buffer is cleared and reused across periods, and a
-/// scratch kept across [`BatchEngine::run_sharded_with`] calls carries
-/// its warm capacity from one run (or fleet request) to the next.
+/// pending decisions, the accepted batch slots and their grouping, the
+/// gathered input/output buffers and the inference scratch.
+/// Allocation-free in steady state — every buffer is cleared and reused
+/// across periods, and a scratch kept across
+/// [`BatchEngine::run_sharded_with`] calls carries its warm capacity
+/// from one run (or fleet request) to the next.
 #[derive(Default)]
 pub struct BatchScratch {
     rows: Vec<Vec<f64>>,
     decisions: Vec<Option<PlanDecision>>,
-    pending: Vec<(usize, Arc<Dbn>)>,
-    distilled: Vec<(usize, Arc<FoldTable>)>,
+    /// Accepted batch slots this period: (scenario index, shared
+    /// model), in scenario order.
+    slots: Vec<(usize, SharedModel)>,
     grouped: Vec<bool>,
+    /// Scenario indices of the group being inferred, in scenario order.
     members: Vec<usize>,
     inputs: Matrix,
     outputs: Matrix,
@@ -147,6 +173,14 @@ pub struct BatchScratch {
     /// distilled leaf kernel.
     lane_inputs: Vec<f64>,
     lane_out: Vec<f64>,
+}
+
+/// The error for a planner that accepted a batch slot but exposes no
+/// shared model to batch it on.
+fn unexposed(model: &str) -> CoreError {
+    CoreError::Config(format!(
+        "planner accepted a batch slot without exposing {model}"
+    ))
 }
 
 /// The contiguous period range one [`shard_loop`] invocation executes:
@@ -213,8 +247,7 @@ fn shard_loop(
     let BatchScratch {
         rows,
         decisions,
-        pending,
-        distilled,
+        slots,
         grouped,
         members,
         inputs,
@@ -233,10 +266,9 @@ fn shard_loop(
         let period = grid.period_at(flat);
 
         // Gather phase: per-period harness effects, then either a
-        // batch feature row (a DBN or distilled slot) or (for
-        // decliners) the full sequential plan() call.
-        pending.clear();
-        distilled.clear();
+        // batch slot on a shared model (a DBN or distilled feature
+        // row) or, for decliners, the full sequential plan() call.
+        slots.clear();
         for (i, sc) in scenarios.iter_mut().enumerate() {
             let env = ScenarioEnv {
                 node,
@@ -249,56 +281,76 @@ fn shard_loop(
             states[i].pre_plan(&env, flat, sc.planner.as_mut())?;
             let obs = states[i].observation(&env, period);
             rows[i].clear();
-            if sc.planner.batch_input(&obs, &mut rows[i]) {
-                match sc.planner.batch_dbn() {
-                    Some(dbn) => pending.push((i, dbn)),
-                    None => {
-                        return Err(CoreError::Config(
-                            "planner accepted a batch slot without exposing a shared DBN".into(),
-                        ))
-                    }
-                }
+            let model = if sc.planner.batch_input(&obs, &mut rows[i]) {
+                let dbn = sc.planner.batch_dbn();
+                Some(SharedModel::Dbn(
+                    dbn.ok_or_else(|| unexposed("a shared DBN"))?,
+                ))
             } else if sc.planner.batch_distilled_input(&obs, &mut rows[i]) {
-                match sc.planner.batch_distilled() {
-                    Some(table) => distilled.push((i, table)),
-                    None => {
-                        return Err(CoreError::Config(
-                            "planner accepted a distilled batch slot without exposing a \
-                             shared fold table"
-                                .into(),
-                        ))
-                    }
-                }
+                let table = sc.planner.batch_distilled();
+                Some(SharedModel::Fold(
+                    table.ok_or_else(|| unexposed("a shared fold table"))?,
+                ))
             } else {
-                decisions[i] = Some(sc.planner.plan(&obs));
+                None
+            };
+            match model {
+                Some(model) => slots.push((i, model)),
+                None => decisions[i] = Some(sc.planner.plan(&obs)),
             }
         }
 
-        // Inference phase: group pending scenarios by shared network
-        // (Arc pointer identity) and run one batched forward per
-        // group; each scenario then completes its decision from its
-        // output row.
+        // Inference phase: group the slots by shared model (Arc
+        // pointer identity; groups in first-appearance order, members
+        // in scenario order) and run one batched inference per group.
+        // Each member then completes its decision from its output row.
+        // Both kernels are bit-identical to per-sample inference, so
+        // grouping changes throughput only, never decisions.
         grouped.clear();
-        grouped.resize(pending.len(), false);
-        for g0 in 0..pending.len() {
+        grouped.resize(slots.len(), false);
+        for g0 in 0..slots.len() {
             if grouped[g0] {
                 continue;
             }
-            let dbn = Arc::clone(&pending[g0].1);
+            let model = &slots[g0].1;
             members.clear();
             for (k, flag) in grouped.iter_mut().enumerate().skip(g0) {
-                if !*flag && Arc::ptr_eq(&dbn, &pending[k].1) {
+                if !*flag && model.same(&slots[k].1) {
                     *flag = true;
-                    members.push(k);
+                    members.push(slots[k].0);
                 }
             }
-            inputs.reset(members.len(), dbn.input_dim());
-            for (r, &k) in members.iter().enumerate() {
-                inputs.row_mut(r).copy_from_slice(&rows[pending[k].0]);
-            }
-            dbn.predict_batch_into(inputs, predict, outputs)?;
-            for (r, &k) in members.iter().enumerate() {
-                let i = pending[k].0;
+            let width = match model {
+                SharedModel::Dbn(dbn) => {
+                    inputs.reset(members.len(), dbn.input_dim());
+                    for (r, &i) in members.iter().enumerate() {
+                        inputs.row_mut(r).copy_from_slice(&rows[i]);
+                    }
+                    dbn.predict_batch_into(inputs, predict, outputs)?;
+                    outputs.cols()
+                }
+                SharedModel::Fold(table) => {
+                    entries.clear();
+                    lane_inputs.clear();
+                    for &i in members.iter() {
+                        // One lookup per lane, in member order: the
+                        // shared table's lazy first-sight/second-sight
+                        // schedule stays deterministic, and a prefix
+                        // shared by several lanes is prewalked and
+                        // folded at most once per period for the group.
+                        entries.push(table.lookup(&rows[i])?);
+                        lane_inputs.extend_from_slice(&rows[i]);
+                    }
+                    let policy = table.policy();
+                    policy.predict_batch_folded(entries, lane_inputs, lane_out)?;
+                    policy.output_dim()
+                }
+            };
+            for (r, &i) in members.iter().enumerate() {
+                let out = match model {
+                    SharedModel::Dbn(_) => outputs.row(r),
+                    SharedModel::Fold(_) => &lane_out[r * width..(r + 1) * width],
+                };
                 let sc = &mut scenarios[i];
                 let env = ScenarioEnv {
                     node,
@@ -309,62 +361,7 @@ fn shard_loop(
                     harness: harnesses[i],
                 };
                 let obs = states[i].observation(&env, period);
-                decisions[i] = Some(sc.planner.plan_with_output(&obs, outputs.row(r)));
-            }
-        }
-
-        // Distilled inference phase: group accepted distilled slots by
-        // shared fold table (Arc pointer identity — the table carries
-        // the artifact), resolve each lane's fold entry through the
-        // table in lane order, and run one batched leaf-kernel call
-        // per group. The kernel is bit-identical to the sequential
-        // per-lane `predict_folded`/`predict_into` walk, so batching
-        // changes throughput only, never decisions.
-        grouped.clear();
-        grouped.resize(distilled.len(), false);
-        for g0 in 0..distilled.len() {
-            if grouped[g0] {
-                continue;
-            }
-            let table = Arc::clone(&distilled[g0].1);
-            members.clear();
-            for (k, flag) in grouped.iter_mut().enumerate().skip(g0) {
-                if !*flag && Arc::ptr_eq(&table, &distilled[k].1) {
-                    *flag = true;
-                    members.push(k);
-                }
-            }
-            let policy = Arc::clone(table.policy());
-            let od = policy.output_dim();
-            entries.clear();
-            lane_inputs.clear();
-            for &k in members.iter() {
-                let row = &rows[distilled[k].0];
-                // One lookup per lane, in member order: the shared
-                // table's lazy first-sight/second-sight schedule stays
-                // deterministic, and a prefix shared by several lanes
-                // is prewalked and folded at most once per period for
-                // the whole group.
-                entries.push(table.lookup(row)?);
-                lane_inputs.extend_from_slice(row);
-            }
-            policy.predict_batch_folded(entries, lane_inputs, lane_out)?;
-            for (r, &k) in members.iter().enumerate() {
-                let i = distilled[k].0;
-                let sc = &mut scenarios[i];
-                let env = ScenarioEnv {
-                    node,
-                    graph,
-                    trace: sc.trace,
-                    predictor: sc.predictor.as_ref(),
-                    ctx,
-                    harness: harnesses[i],
-                };
-                let obs = states[i].observation(&env, period);
-                decisions[i] = Some(
-                    sc.planner
-                        .plan_with_output(&obs, &lane_out[r * od..(r + 1) * od]),
-                );
+                decisions[i] = Some(sc.planner.plan_with_output(&obs, out));
             }
         }
 
@@ -415,8 +412,8 @@ pub enum BatchRunState {
     Paused(BatchCheckpoint),
 }
 
-/// Advances B independent scenarios in lockstep, batching DBN
-/// inference across them. See the module docs for the design.
+/// Advances B independent scenarios in lockstep, batching inference
+/// across them. See the module docs for the design.
 pub struct BatchEngine<'a> {
     node: &'a NodeConfig,
     graph: &'a TaskGraph,
@@ -513,26 +510,7 @@ impl<'a> BatchEngine<'a> {
     /// Returns the first [`CoreError`] any scenario produces (the same
     /// errors the sequential engine can return).
     pub fn run(self) -> Result<Vec<SimReport>, CoreError> {
-        self.run_with_scratch(&mut BatchScratch::default())
-    }
-
-    /// [`BatchEngine::run`] with a caller-owned [`BatchScratch`], so a
-    /// long-lived caller (the fleet service, a sweep loop) pays the
-    /// buffer warm-up once and runs allocation-free thereafter.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError`] any scenario produces.
-    pub fn run_with_scratch(
-        mut self,
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<SimReport>, CoreError> {
-        match self.run_span_with(None, None, std::slice::from_mut(scratch))? {
-            BatchRunState::Done(reports) => Ok(reports),
-            BatchRunState::Paused(_) => Err(CoreError::Config(
-                "full run paused without a stop period".into(),
-            )),
-        }
+        self.run_sharded(1)
     }
 
     /// Partitions the batch into at most `shards` contiguous shards and
@@ -564,7 +542,17 @@ impl<'a> BatchEngine<'a> {
         mut self,
         scratches: &mut [BatchScratch],
     ) -> Result<Vec<SimReport>, CoreError> {
-        match self.run_span_with(None, None, scratches)? {
+        self.run_to_end(None, scratches)
+    }
+
+    /// [`BatchEngine::run_span_with`] with no stop period: the span
+    /// always runs to the end of the horizon.
+    fn run_to_end(
+        &mut self,
+        resume: Option<&BatchCheckpoint>,
+        scratches: &mut [BatchScratch],
+    ) -> Result<Vec<SimReport>, CoreError> {
+        match self.run_span_with(resume, None, scratches)? {
             BatchRunState::Done(reports) => Ok(reports),
             BatchRunState::Paused(_) => Err(CoreError::Config(
                 "full run paused without a stop period".into(),
@@ -710,51 +698,10 @@ impl<'a> BatchEngine<'a> {
         }
     }
 
-    /// Continues a frozen batch up to (not including) period `stop`,
-    /// returning the new checkpoint. Restoring is idempotent: resuming
-    /// from a just-taken checkpoint and stopping immediately hands the
-    /// same state back.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchEngine::run_span_with`].
-    pub fn resume_until(
-        &mut self,
-        ckpt: &BatchCheckpoint,
-        stop: usize,
-    ) -> Result<BatchCheckpoint, CoreError> {
-        let mut scratch = BatchScratch::default();
-        match self.run_span_with(Some(ckpt), Some(stop), std::slice::from_mut(&mut scratch))? {
-            BatchRunState::Paused(next) => Ok(next),
-            BatchRunState::Done(_) => Err(CoreError::Config(
-                "bounded run completed without pausing".into(),
-            )),
-        }
-    }
-
     /// Restores every scenario from `ckpt` and runs the rest of the
-    /// horizon to completion — byte-identical to the reports an
+    /// horizon to completion, sharded across caller-owned scratches
+    /// (one shard per scratch) — byte-identical to the reports an
     /// uninterrupted [`BatchEngine::run`] would have produced.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchEngine::run_span_with`].
-    pub fn run_from_checkpoint(
-        mut self,
-        ckpt: &BatchCheckpoint,
-    ) -> Result<Vec<SimReport>, CoreError> {
-        let mut scratch = BatchScratch::default();
-        match self.run_span_with(Some(ckpt), None, std::slice::from_mut(&mut scratch))? {
-            BatchRunState::Done(reports) => Ok(reports),
-            BatchRunState::Paused(_) => Err(CoreError::Config(
-                "full run paused without a stop period".into(),
-            )),
-        }
-    }
-
-    /// [`BatchEngine::run_from_checkpoint`] sharded across caller-owned
-    /// scratches, one shard per scratch (the fleet service resumes with
-    /// its long-lived worker scratches).
     ///
     /// # Errors
     ///
@@ -764,12 +711,7 @@ impl<'a> BatchEngine<'a> {
         ckpt: &BatchCheckpoint,
         scratches: &mut [BatchScratch],
     ) -> Result<Vec<SimReport>, CoreError> {
-        match self.run_span_with(Some(ckpt), None, scratches)? {
-            BatchRunState::Done(reports) => Ok(reports),
-            BatchRunState::Paused(_) => Err(CoreError::Config(
-                "full run paused without a stop period".into(),
-            )),
-        }
+        self.run_to_end(Some(ckpt), scratches)
     }
 
     /// [`BatchEngine::run_sharded`] across every configured worker
@@ -781,38 +723,6 @@ impl<'a> BatchEngine<'a> {
     pub fn run_parallel(self) -> Result<Vec<SimReport>, CoreError> {
         let shards = helio_par::configured_threads();
         self.run_sharded(shards)
-    }
-
-    /// Builds and runs batches of at most `chunk` scenarios over
-    /// `0..count`, fanning the batches out across `helio-par` workers;
-    /// results come back in scenario order. `make(i)` constructs the
-    /// `i`-th scenario (it is called from worker threads).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError`] any batch produces.
-    pub fn run_chunked<F>(
-        node: &'a NodeConfig,
-        graph: &'a TaskGraph,
-        count: usize,
-        chunk: usize,
-        make: F,
-    ) -> Result<Vec<SimReport>, CoreError>
-    where
-        F: Fn(usize) -> BatchScenario<'a> + Sync,
-    {
-        let batches = helio_par::par_map_ranges(count, chunk, |range| {
-            let mut engine = BatchEngine::new(node, graph)?;
-            for i in range {
-                engine.push(make(i))?;
-            }
-            engine.run()
-        });
-        let mut all = Vec::with_capacity(count);
-        for batch in batches {
-            all.extend(batch?);
-        }
-        Ok(all)
     }
 }
 
@@ -1152,24 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn run_chunked_matches_single_batch() {
-        let node = node();
-        let g = benchmarks::ecg();
-        let dbn = tiny_dbn(&g);
-        let traces: Vec<SolarTrace> = (0..6).map(|s| trace(100 + s)).collect();
-        let make = |i: usize| BatchScenario::new(&traces[i], Box::new(dbn_planner(&dbn)));
-        let chunked = BatchEngine::run_chunked(&node, &g, traces.len(), 2, make).unwrap();
-        let mut engine = BatchEngine::new(&node, &g).unwrap();
-        for t in &traces {
-            engine
-                .push(BatchScenario::new(t, Box::new(dbn_planner(&dbn))))
-                .unwrap();
-        }
-        let whole = engine.run().unwrap();
-        assert_eq!(chunked, whole);
-    }
-
-    #[test]
     fn sharded_matches_run_for_every_shard_count() {
         let node = node();
         let g = benchmarks::ecg();
@@ -1357,8 +1249,14 @@ mod tests {
         let mut at = 7;
         while at < total {
             at = (at + 13).min(total);
-            ckpt = engine.resume_until(&ckpt, at).unwrap();
-            assert_eq!(ckpt.next_period, at);
+            let next = engine
+                .run_span_with(Some(&ckpt), Some(at), &mut [BatchScratch::default()])
+                .unwrap();
+            let BatchRunState::Paused(next) = next else {
+                panic!("expected a pause at period {at}");
+            };
+            assert_eq!(next.next_period, at);
+            ckpt = next;
         }
         let resumed = engine
             .run_span_with(Some(&ckpt), None, &mut [BatchScratch::default()])
@@ -1389,7 +1287,7 @@ mod tests {
         short.scenarios.pop();
         short.planners.pop();
         let err = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-            .run_from_checkpoint(&short);
+            .run_from_checkpoint_sharded_with(&short, &mut [BatchScratch::default()]);
         assert!(matches!(err, Err(CoreError::Config(_))));
 
         // Planner shape mismatch: rotate the planner checkpoints so a
@@ -1397,13 +1295,13 @@ mod tests {
         let mut rotated = ckpt.clone();
         rotated.planners.rotate_left(1);
         let err = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-            .run_from_checkpoint(&rotated);
+            .run_from_checkpoint_sharded_with(&rotated, &mut [BatchScratch::default()]);
         assert!(matches!(err, Err(CoreError::Config(_))));
 
         // Period past the horizon.
         ckpt.next_period = node.grid.total_periods() + 1;
         let err = mixed_engine(&node, &g, &dbn, &table, &compiled, &traces, &harness)
-            .run_from_checkpoint(&ckpt);
+            .run_from_checkpoint_sharded_with(&ckpt, &mut [BatchScratch::default()]);
         assert!(matches!(err, Err(CoreError::Config(_))));
     }
 

@@ -5,7 +5,7 @@
 //! service* the same property. A [`BatchCheckpoint`] captures every
 //! scenario's cross-period state plus each planner's internal state at
 //! a period boundary, such that
-//! [`BatchEngine::run_from_checkpoint`](crate::BatchEngine::run_from_checkpoint)
+//! [`BatchEngine::run_from_checkpoint_sharded_with`](crate::BatchEngine::run_from_checkpoint_sharded_with)
 //! resumes to byte-identical reports — the same identity discipline as
 //! the batched/sharded gates.
 //!

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use helio_ann::{
     AnnError, CompiledDbn, CompiledScratch, CompiledTier, Dbn, DistilledPolicy, FoldTable,
-    Layer0Fold, PredictScratch,
+    PredictScratch,
 };
 use helio_common::units::Joules;
 use helio_common::TaskSet;
@@ -89,16 +89,6 @@ enum Backend {
         /// across periods.
         scratch: CompiledScratch,
         out_buf: Vec<f64>,
-        /// Per-period layer-0 partial sums over the run-constant
-        /// prefix (previous-period slot powers), keyed by flat period
-        /// index. Built lazily on the *second* forward of a period:
-        /// the common once-per-period plan takes the fused full
-        /// forward (folding would duplicate the prefix work), while
-        /// re-planned decisions within one period (crash-resume
-        /// replays, recovery re-decisions) skip the constant half of
-        /// layer 0. Boxed — the fold's partial accumulators would
-        /// otherwise dominate every backend variant's footprint.
-        fold: Option<(usize, Option<Box<Layer0Fold>>)>,
     },
     Distilled {
         /// The distilled branch-free decision artifact, behind an
@@ -254,7 +244,6 @@ impl ProposedPlanner {
                 scratch: compiled.make_scratch(),
                 out_buf: Vec::with_capacity(compiled.output_dim()),
                 compiled,
-                fold: None,
             },
             switch,
             delta,
@@ -513,11 +502,6 @@ impl ProposedPlanner {
         dmr[0] = obs.accumulated_dmr;
     }
 
-    /// Turns the network output already sitting in `out_buf` into the
-    /// period decision: Nan fault injection, decision-head parsing,
-    /// dependency closure and the abundant-solar override. Everything
-    /// in [`ProposedPlanner::plan_dbn`] after the inference call lives
-    /// here, so the batched path reuses it verbatim.
     /// Builds the run-constant decision tables: each task's ancestor
     /// cone (so closing under dependencies is a mask union per
     /// admitted task, not a graph walk — the DBN's bits are
@@ -644,7 +628,6 @@ impl ProposedPlanner {
             return (obs.bank.active_index(), 1.0, obs.graph.all_tasks());
         }
         Self::gather_dbn_input(obs, &mut self.input_buf);
-        let flat = obs.grid.period_index(obs.period);
         // One DBN inference ≈ one state expansion worth of work.
         self.complexity += 1;
         let input = &self.input_buf;
@@ -658,36 +641,7 @@ impl ProposedPlanner {
                 compiled,
                 scratch,
                 out_buf,
-                fold,
-            } => {
-                // The first forward of a period runs the fused full
-                // pass; a re-decision under the same flat index folds
-                // the run-constant feature prefix (previous period's
-                // slot powers) once and resumes from the partial sums.
-                // `fold_prefix` declining (non-resident SIMD shapes)
-                // or erroring routes through the plain forward.
-                match fold {
-                    Some((f, l)) if *f == flat => {
-                        if l.is_none() {
-                            let prefix = obs.grid.slots_per_period().min(compiled.input_dim());
-                            *l = compiled
-                                .fold_prefix(input, prefix)
-                                .ok()
-                                .flatten()
-                                .map(Box::new);
-                        }
-                        match l {
-                            Some(l) => compiled.forward_from_fold(l, input, scratch, out_buf),
-                            None => compiled.forward_into(input, scratch, out_buf),
-                        }
-                    }
-                    _ => {
-                        *fold = Some((flat, None));
-                        compiled.forward_into(input, scratch, out_buf)
-                    }
-                }
-                .is_err()
-            }
+            } => compiled.forward_into(input, scratch, out_buf).is_err(),
             Backend::Distilled {
                 policy,
                 fallback,
@@ -724,6 +678,38 @@ impl ProposedPlanner {
             return (obs.bank.active_index(), 1.0, obs.graph.all_tasks());
         }
         self.decide_dbn(obs)
+    }
+
+    /// The steps both batch hooks share once the backend has offered a
+    /// slot on a model with `input_dim` features:
+    /// * decline under an injected "inference down" fault — the
+    ///   sequential path skips the nominal inference (a distilled
+    ///   backend steps one tier down);
+    /// * gather the feature row;
+    /// * decline on a width mismatch — the sequential path pays the
+    ///   complexity increment and then fails the predict, which is
+    ///   exactly what plan() does;
+    /// * otherwise pay the complexity increment `plan_dbn` pays before
+    ///   inferring.
+    ///
+    /// A Nan fault stays batchable: `decide_dbn` poisons the output
+    /// after inference on both paths.
+    fn accept_batch_slot(
+        &mut self,
+        obs: &PlannerObservation<'_>,
+        input_dim: usize,
+        input: &mut Vec<f64>,
+    ) -> bool {
+        if self.injected == Some(DbnFaultMode::Unavailable) {
+            return false;
+        }
+        Self::gather_dbn_input(obs, input);
+        if input.len() != input_dim {
+            return false;
+        }
+        // One inference ≈ one state expansion worth of work.
+        self.complexity += 1;
+        true
     }
 }
 
@@ -908,23 +894,8 @@ impl PeriodPlanner for ProposedPlanner {
         let Backend::Dbn { dbn, .. } = &self.backend else {
             return false;
         };
-        if self.injected == Some(DbnFaultMode::Unavailable) {
-            // The sequential path would skip inference entirely;
-            // decline the batch slot so plan() reproduces that.
-            return false;
-        }
         let input_dim = dbn.input_dim();
-        Self::gather_dbn_input(obs, input);
-        if input.len() != input_dim {
-            // The sequential path pays the complexity increment and
-            // then fails predict; declining here routes this scenario
-            // through plan(), which does exactly that.
-            return false;
-        }
-        // One DBN inference ≈ one state expansion worth of work — the
-        // same accounting plan_dbn does before predicting.
-        self.complexity += 1;
-        true
+        self.accept_batch_slot(obs, input_dim, input)
     }
 
     fn batch_dbn(&self) -> Option<Arc<Dbn>> {
@@ -939,33 +910,19 @@ impl PeriodPlanner for ProposedPlanner {
         obs: &PlannerObservation<'_>,
         input: &mut Vec<f64>,
     ) -> bool {
+        // A demoted artifact serves from its compiled fallback;
+        // declining the slot routes it through plan(), which
+        // reproduces the sequential tier walk exactly.
         let Backend::Distilled {
-            policy, demoted, ..
+            policy,
+            demoted: false,
+            ..
         } = &self.backend
         else {
             return false;
         };
-        // A demoted artifact serves from its compiled fallback, and
-        // an injected "artifact down" fault steps one tier down;
-        // declining the slot routes both through plan(), which
-        // reproduces the sequential tier walk exactly. (A Nan fault
-        // stays batchable: decide_dbn poisons the output after
-        // inference on both paths.)
-        if *demoted || self.injected == Some(DbnFaultMode::Unavailable) {
-            return false;
-        }
         let input_dim = policy.input_dim();
-        Self::gather_dbn_input(obs, input);
-        if input.len() != input_dim {
-            // The sequential path pays the complexity increment and
-            // then demotes on the failed predict; declining routes
-            // this scenario through plan(), which does exactly that.
-            return false;
-        }
-        // One inference ≈ one state expansion worth of work — the
-        // same accounting plan_dbn does before predicting.
-        self.complexity += 1;
-        true
+        self.accept_batch_slot(obs, input_dim, input)
     }
 
     fn batch_distilled(&self) -> Option<Arc<FoldTable>> {

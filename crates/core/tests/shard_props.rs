@@ -2,11 +2,16 @@
 //! partitioned into contiguous per-worker shards, each worker with its
 //! own scratch — is byte-identical to the sequential engine for
 //! arbitrary scenario mixes (planner backends × fault plans × shard
-//! counts 1..=8).
+//! counts 1..=8). The backends interleave DBN lanes, distilled lanes
+//! (on one shared fold table, on a private table, and behind a
+//! resilient wrapper) and fixed baselines, so one period's batched
+//! inference pass groups both kinds of shared model at once.
 
 use std::sync::{Arc, OnceLock};
 
-use helio_ann::{Dbn, DbnConfig};
+use helio_ann::{
+    CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable,
+};
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
 use helio_faults::{
@@ -76,8 +81,67 @@ fn shared_dbn(graph: &TaskGraph) -> Arc<Dbn> {
     .clone()
 }
 
-fn make_planner<'a>(kind: u8, dbn: &Arc<Dbn>) -> Box<dyn PeriodPlanner + 'a> {
-    match kind % 4 {
+/// The shared DBN distilled once (with a debug-mode-small tree) and
+/// compiled as the artifact's fallback tier.
+fn distilled(graph: &TaskGraph) -> (Arc<DistilledPolicy>, Arc<CompiledDbn>) {
+    static CELL: OnceLock<(Arc<DistilledPolicy>, Arc<CompiledDbn>)> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let dbn = shared_dbn(graph);
+        let compiled = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).unwrap());
+        let cfg = DistillConfig {
+            depth_const: 3,
+            depth_vary: 3,
+            samples: 2048,
+            candidates: 16,
+            holdout: 512,
+            ..DistillConfig::small(3)
+        };
+        let policy = Arc::new(DistilledPolicy::distill(&dbn, SLOTS, &[], &cfg).unwrap());
+        (policy, compiled)
+    })
+    .clone()
+}
+
+/// The immutable models a case's planners are built from: the shared
+/// DBN, and the distilled artifact with its fallback and one fold
+/// table shared by every shared-table lane of the case.
+struct Models {
+    dbn: Arc<Dbn>,
+    policy: Arc<DistilledPolicy>,
+    fallback: Arc<CompiledDbn>,
+    table: Arc<FoldTable>,
+}
+
+impl Models {
+    fn new(graph: &TaskGraph) -> Self {
+        let (policy, fallback) = distilled(graph);
+        let table = Arc::new(FoldTable::new(
+            Arc::clone(&policy),
+            FoldTable::DEFAULT_CAPACITY,
+        ));
+        Self {
+            dbn: shared_dbn(graph),
+            policy,
+            fallback,
+            table,
+        }
+    }
+
+    fn distilled_on_shared_table(&self) -> ProposedPlanner {
+        ProposedPlanner::from_distilled_with_table(
+            Arc::clone(&self.table),
+            Arc::clone(&self.fallback),
+            0.5,
+            SwitchRule::default(),
+        )
+    }
+}
+
+const PLANNER_KINDS: u64 = 7;
+
+fn make_planner<'a>(kind: u8, models: &Models) -> Box<dyn PeriodPlanner + 'a> {
+    let dbn = &models.dbn;
+    match kind % PLANNER_KINDS as u8 {
         0 => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
         1 => Box::new(ProposedPlanner::from_shared_dbn(
             Arc::clone(dbn),
@@ -87,7 +151,19 @@ fn make_planner<'a>(kind: u8, dbn: &Arc<Dbn>) -> Box<dyn PeriodPlanner + 'a> {
         2 => Box::new(ResilientPlanner::new(Box::new(
             ProposedPlanner::from_shared_dbn(Arc::clone(dbn), 0.5, SwitchRule::default()),
         ))),
-        _ => Box::new(FixedPlanner::new(Pattern::Intra, 0)),
+        3 => Box::new(FixedPlanner::new(Pattern::Intra, 0)),
+        4 => Box::new(models.distilled_on_shared_table()),
+        // A private table: its own batch group, apart from the shared
+        // table's lanes.
+        5 => Box::new(ProposedPlanner::from_distilled(
+            Arc::clone(&models.policy),
+            Arc::clone(&models.fallback),
+            0.5,
+            SwitchRule::default(),
+        )),
+        _ => Box::new(ResilientPlanner::new(Box::new(
+            models.distilled_on_shared_table(),
+        ))),
     }
 }
 
@@ -153,12 +229,18 @@ proptest! {
         // bits so every case also picks an arbitrary partition.
         let scenarios: Vec<(u8, u8, u64)> = raw
             .iter()
-            .map(|&v| ((v % 4) as u8, ((v / 4) % 5) as u8, (v / 20) % 32))
+            .map(|&v| {
+                (
+                    (v % PLANNER_KINDS) as u8,
+                    ((v / PLANNER_KINDS) % 5) as u8,
+                    (v / (PLANNER_KINDS * 5)) % 32,
+                )
+            })
             .collect();
         let shards = 1 + ((raw[0] >> 32) % 8) as usize;
         let node = node();
         let graph = benchmarks::ecg();
-        let dbn = shared_dbn(&graph);
+        let models = Models::new(&graph);
         let total = DAYS * PERIODS;
 
         let traces: Vec<SolarTrace> =
@@ -174,7 +256,7 @@ proptest! {
         for (i, &(planner_kind, _, _)) in scenarios.iter().enumerate() {
             engine
                 .push(
-                    BatchScenario::new(&traces[i], make_planner(planner_kind, &dbn))
+                    BatchScenario::new(&traces[i], make_planner(planner_kind, &models))
                         .with_harness(&harnesses[i]),
                 )
                 .unwrap();
@@ -183,7 +265,7 @@ proptest! {
         prop_assert_eq!(sharded.len(), scenarios.len());
 
         for (i, &(planner_kind, _, _)) in scenarios.iter().enumerate() {
-            let mut planner = make_planner(planner_kind, &dbn);
+            let mut planner = make_planner(planner_kind, &models);
             let sequential = Engine::new(&node, &graph, &traces[i])
                 .unwrap()
                 .run_with_faults(planner.as_mut(), Some(&harnesses[i]))

@@ -503,17 +503,18 @@ fn cycle_days(days: &[DayArchetype], want: usize) -> Vec<DayArchetype> {
     base.iter().copied().cycle().take(want).collect()
 }
 
-/// The long-lived service state: node, task set, plan context, shared
-/// DBN and per-worker scratches, all derived once at startup and
-/// reused by every request.
-pub struct FleetService {
+/// The service's immutable assets, derived once at startup and
+/// borrowed by every request: everything a scenario's planner and
+/// engine are built from.
+struct Assets {
     node: NodeConfig,
     graph: TaskGraph,
     ctx: Arc<PlanContext>,
     dbn: Option<Arc<Dbn>>,
     /// Both compiled tiers of the shared DBN, built once at startup —
     /// every `compiled-dbn`/`compiled-dbn-i8` scenario clones the
-    /// `Arc`, never the packed weights.
+    /// `Arc`, never the packed weights. The f32 tier is also the
+    /// fallback tier of every `distilled` scenario.
     compiled_f32: Option<Arc<CompiledDbn>>,
     compiled_i8: Option<Arc<CompiledDbn>>,
     /// The service-wide fold table over the distilled decision
@@ -527,6 +528,13 @@ pub struct FleetService {
     fold_table: Option<Arc<FoldTable>>,
     delta: f64,
     dp: DpConfig,
+}
+
+/// The long-lived service state: the immutable [`Assets`] plus the
+/// per-worker scratches and telemetry counters, all set up once at
+/// startup and reused by every request.
+pub struct FleetService {
+    assets: Assets,
     scratches: Vec<BatchScratch>,
     requests_served: u64,
     scenarios_served: u64,
@@ -621,15 +629,17 @@ impl FleetService {
         let mut scratches = Vec::new();
         scratches.resize_with(workers, BatchScratch::default);
         Ok(Self {
-            node,
-            graph,
-            ctx,
-            dbn,
-            compiled_f32,
-            compiled_i8,
-            fold_table,
-            delta: cfg.delta,
-            dp: cfg.dp,
+            assets: Assets {
+                node,
+                graph,
+                ctx,
+                dbn,
+                compiled_f32,
+                compiled_i8,
+                fold_table,
+                delta: cfg.delta,
+                dp: cfg.dp,
+            },
             scratches,
             requests_served: 0,
             scenarios_served: 0,
@@ -697,14 +707,23 @@ impl FleetService {
         shutdown: Option<&AtomicBool>,
         on_checkpoint: &mut dyn FnMut(&BatchCheckpoint) -> Result<(), FleetError>,
     ) -> Result<RequestDisposition, FleetError> {
-        let total = self.node.grid.total_periods();
-        let periods_per_day = self.node.grid.periods_per_day();
-        let days = self.node.grid.days();
+        // Split the borrows: the engine borrows the assets immutably
+        // while the run needs the scratches mutably.
+        let Self {
+            assets,
+            scratches,
+            requests_served,
+            scenarios_served,
+        } = self;
+        let grid = assets.node.grid;
+        let total = grid.total_periods();
+        let periods_per_day = grid.periods_per_day();
+        let days = grid.days();
         let traces: Vec<SolarTrace> = req
             .scenarios
             .iter()
             .map(|s| {
-                TraceBuilder::new(self.node.grid, SolarPanel::paper_panel())
+                TraceBuilder::new(grid, SolarPanel::paper_panel())
                     .seed(s.seed)
                     .days(&cycle_days(&s.days, days))
                     .build()
@@ -720,27 +739,6 @@ impl FleetService {
             })
             .collect();
 
-        // Split the borrows: the engine borrows node/graph/ctx
-        // immutably while the run needs the scratches mutably.
-        let Self {
-            node,
-            graph,
-            ctx,
-            dbn,
-            compiled_f32,
-            compiled_i8,
-            fold_table,
-            delta,
-            dp,
-            scratches,
-            requests_served,
-            scenarios_served,
-        } = self;
-        let compiled = CompiledHandles {
-            f32: compiled_f32.as_ref(),
-            i8: compiled_i8.as_ref(),
-            fold_table: fold_table.as_ref(),
-        };
         let seg = segment.unwrap_or(total).max(1);
         let mut ckpt = resume;
         loop {
@@ -757,19 +755,7 @@ impl FleetService {
                 None if seg_end >= total => None,
                 None => Some(seg_end),
             };
-            let mut engine = build_engine(
-                node,
-                graph,
-                ctx,
-                dbn.as_ref(),
-                compiled,
-                *delta,
-                *dp,
-                req,
-                &traces,
-                &harnesses,
-                None,
-            )?;
+            let mut engine = build_engine(assets, req, &traces, &harnesses, None)?;
             let state = match engine.run_span_with(ckpt.as_ref(), stop, scratches) {
                 Ok(state) => state,
                 Err(CoreError::WorkerPanic(_)) => {
@@ -780,19 +766,7 @@ impl FleetService {
                     // error. Isolation runs to completion — a chaos
                     // kill or deadline no longer interrupts it.
                     drop(engine);
-                    let results = run_isolated(
-                        node,
-                        graph,
-                        ctx,
-                        dbn.as_ref(),
-                        compiled,
-                        *delta,
-                        *dp,
-                        req,
-                        &traces,
-                        &harnesses,
-                        ckpt.as_ref(),
-                    )?;
+                    let results = run_isolated(assets, req, &traces, &harnesses, ckpt.as_ref())?;
                     *requests_served += 1;
                     *scenarios_served += results.len() as u64;
                     return Ok(RequestDisposition::Answered(results));
@@ -842,36 +816,21 @@ enum RequestDisposition {
 /// `only`), reusing the shared plan context; the planners are rebuilt
 /// from the specs and restored from a checkpoint by the caller's
 /// `run_span_with`.
-#[allow(clippy::too_many_arguments)]
 fn build_engine<'a>(
-    node: &'a NodeConfig,
-    graph: &'a TaskGraph,
-    ctx: &Arc<PlanContext>,
-    dbn: Option<&Arc<Dbn>>,
-    compiled: CompiledHandles<'_>,
-    delta: f64,
-    dp: DpConfig,
+    assets: &'a Assets,
     req: &FleetRequest,
     traces: &'a [SolarTrace],
     harnesses: &'a [Option<FaultHarness>],
     only: Option<usize>,
 ) -> Result<BatchEngine<'a>, FleetError> {
-    let mut engine = BatchEngine::with_context(node, graph, Arc::clone(ctx))?;
+    let mut engine =
+        BatchEngine::with_context(&assets.node, &assets.graph, Arc::clone(&assets.ctx))?;
     let indices: Vec<usize> = match only {
         Some(i) => vec![i],
         None => (0..req.scenarios.len()).collect(),
     };
     for i in indices {
-        let planner = make_planner(
-            &req.scenarios[i],
-            node,
-            graph,
-            &traces[i],
-            dbn,
-            compiled,
-            delta,
-            dp,
-        )?;
+        let planner = make_planner(&req.scenarios[i], assets, &traces[i])?;
         let mut scenario = BatchScenario::new(&traces[i], planner);
         if let Some(h) = &harnesses[i] {
             scenario = scenario.with_harness(h);
@@ -886,18 +845,11 @@ fn build_engine<'a>(
 /// produce their normal report — byte-identical to the lockstep batch
 /// — while the panicking one is caught by the worker-pool quarantine
 /// again and degrades to its own error string.
-#[allow(clippy::too_many_arguments)]
-fn run_isolated<'a>(
-    node: &'a NodeConfig,
-    graph: &'a TaskGraph,
-    ctx: &Arc<PlanContext>,
-    dbn: Option<&Arc<Dbn>>,
-    compiled: CompiledHandles<'_>,
-    delta: f64,
-    dp: DpConfig,
+fn run_isolated(
+    assets: &Assets,
     req: &FleetRequest,
-    traces: &'a [SolarTrace],
-    harnesses: &'a [Option<FaultHarness>],
+    traces: &[SolarTrace],
+    harnesses: &[Option<FaultHarness>],
     resume: Option<&BatchCheckpoint>,
 ) -> Result<Vec<Result<SimReport, String>>, FleetError> {
     let mut results = Vec::with_capacity(req.scenarios.len());
@@ -908,19 +860,7 @@ fn run_isolated<'a>(
             planners: vec![c.planners[i].clone()],
         });
         let one = || -> Result<SimReport, FleetError> {
-            let mut engine = build_engine(
-                node,
-                graph,
-                ctx,
-                dbn,
-                compiled,
-                delta,
-                dp,
-                req,
-                traces,
-                harnesses,
-                Some(i),
-            )?;
+            let mut engine = build_engine(assets, req, traces, harnesses, Some(i))?;
             let mut scratch = BatchScratch::default();
             match engine.run_span_with(sub.as_ref(), None, std::slice::from_mut(&mut scratch))? {
                 BatchRunState::Done(mut reports) => reports
@@ -968,29 +908,26 @@ fn train_dbn(
     Dbn::train_set(optimal.samples(), &dbn_cfg).map_err(|e| FleetError::Config(e.to_string()))
 }
 
-/// The startup-compiled artifacts `make_planner` hands out to
-/// `compiled-dbn`/`compiled-dbn-i8` scenarios.
-#[derive(Clone, Copy)]
-struct CompiledHandles<'a> {
-    f32: Option<&'a Arc<CompiledDbn>>,
-    i8: Option<&'a Arc<CompiledDbn>>,
-    /// The service-wide fold table carrying the distilled artifact
-    /// `distilled` scenarios run (with `f32` as the next tier down);
-    /// every scenario shares the one table.
-    fold_table: Option<&'a Arc<FoldTable>>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Builds the planner `spec` asks for from the shared assets (trace
+/// only for `optimal`, which plans offline against it), wrapped in a
+/// [`ResilientPlanner`] when requested.
 fn make_planner(
     spec: &ScenarioSpec,
-    node: &NodeConfig,
-    graph: &TaskGraph,
+    assets: &Assets,
     trace: &SolarTrace,
-    dbn: Option<&Arc<Dbn>>,
-    compiled: CompiledHandles<'_>,
-    delta: f64,
-    dp: DpConfig,
 ) -> Result<Box<dyn PeriodPlanner + 'static>, FleetError> {
+    let Assets {
+        node,
+        graph,
+        dbn,
+        compiled_f32,
+        compiled_i8,
+        fold_table,
+        delta,
+        dp,
+        ..
+    } = assets;
+    let (delta, dp) = (*delta, *dp);
     let bank_len = node.capacitor_count();
     let default_cap = |pattern: Pattern| match pattern {
         Pattern::Asap => 0,
@@ -1010,7 +947,7 @@ fn make_planner(
         "inter" => Box::new(FixedPlanner::new(Pattern::Inter, cap_for(Pattern::Inter)?)),
         "intra" => Box::new(FixedPlanner::new(Pattern::Intra, cap_for(Pattern::Intra)?)),
         "dbn" => {
-            let dbn = dbn.ok_or_else(|| {
+            let dbn = dbn.as_ref().ok_or_else(|| {
                 FleetError::Protocol(
                     "scenario requests the dbn planner but the fleet config trained no DBN".into(),
                 )
@@ -1023,10 +960,10 @@ fn make_planner(
         }
         kind @ ("compiled-dbn" | "compiled-dbn-i8") => {
             let artifact = match kind {
-                "compiled-dbn" => compiled.f32,
-                _ => compiled.i8,
+                "compiled-dbn" => compiled_f32,
+                _ => compiled_i8,
             };
-            let artifact = artifact.ok_or_else(|| {
+            let artifact = artifact.as_ref().ok_or_else(|| {
                 FleetError::Protocol(format!(
                     "scenario requests the {kind} planner but the fleet config trained no DBN"
                 ))
@@ -1038,14 +975,14 @@ fn make_planner(
             ))
         }
         "distilled" => {
-            let table = compiled.fold_table.ok_or_else(|| {
+            let table = fold_table.as_ref().ok_or_else(|| {
                 FleetError::Protocol(
                     "scenario requests the distilled planner but the fleet config has no \
                      `distill` spec"
                         .into(),
                 )
             })?;
-            let fallback = compiled.f32.ok_or_else(|| {
+            let fallback = compiled_f32.as_ref().ok_or_else(|| {
                 FleetError::Protocol(
                     "scenario requests the distilled planner but the fleet config compiled no \
                      fallback DBN"
@@ -1126,9 +1063,7 @@ pub fn write_reports<W: Write>(
     reports: &[SimReport],
 ) -> Result<(), FleetError> {
     for (index, report) in reports.iter().enumerate() {
-        let json = serde_json::to_string(report)
-            .map_err(|e| FleetError::Engine(format!("report serialisation failed: {e}")))?;
-        writeln!(out, "{{\"id\":{id},\"index\":{index},\"report\":{json}}}")?;
+        write_result_line(out, id, index, Ok(report))?;
     }
     out.flush()?;
     Ok(())
@@ -1143,20 +1078,33 @@ fn write_results<W: Write>(
     results: &[Result<SimReport, String>],
 ) -> Result<(), FleetError> {
     for (index, result) in results.iter().enumerate() {
-        match result {
-            Ok(report) => {
-                let json = serde_json::to_string(report)
-                    .map_err(|e| FleetError::Engine(format!("report serialisation failed: {e}")))?;
-                writeln!(out, "{{\"id\":{id},\"index\":{index},\"report\":{json}}}")?;
-            }
-            Err(msg) => {
-                let msg = serde_json::to_string(msg.as_str())
-                    .map_err(|e| FleetError::Engine(format!("error serialisation failed: {e}")))?;
-                writeln!(out, "{{\"id\":{id},\"index\":{index},\"error\":{msg}}}")?;
-            }
-        }
+        write_result_line(out, id, index, result.as_ref().map_err(String::as_str))?;
     }
     out.flush()?;
+    Ok(())
+}
+
+/// The one response-line writer behind [`write_reports`] and
+/// [`write_results`]: `{"id":N,"index":I,"report":…}` for a report,
+/// `{"id":N,"index":I,"error":"…"}` for a scenario that failed.
+fn write_result_line<W: Write>(
+    out: &mut W,
+    id: u64,
+    index: usize,
+    result: Result<&SimReport, &str>,
+) -> Result<(), FleetError> {
+    match result {
+        Ok(report) => {
+            let json = serde_json::to_string(report)
+                .map_err(|e| FleetError::Engine(format!("report serialisation failed: {e}")))?;
+            writeln!(out, "{{\"id\":{id},\"index\":{index},\"report\":{json}}}")?;
+        }
+        Err(msg) => {
+            let msg = serde_json::to_string(msg)
+                .map_err(|e| FleetError::Engine(format!("error serialisation failed: {e}")))?;
+            writeln!(out, "{{\"id\":{id},\"index\":{index},\"error\":{msg}}}")?;
+        }
+    }
     Ok(())
 }
 
@@ -1262,7 +1210,7 @@ pub fn serve_with<R: BufRead, W: Write>(
     // the legacy service.
     let segment = opts.checkpoint_every.or_else(|| {
         (store.is_some() || opts.deadline_ms.is_some() || kill.is_some() || shutdown.is_some())
-            .then_some(service.node.grid.periods_per_day())
+            .then_some(service.assets.node.grid.periods_per_day())
     });
 
     let mut ordinal: u64 = 0;

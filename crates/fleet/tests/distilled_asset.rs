@@ -95,8 +95,8 @@ fn distill_without_a_dbn_is_a_config_error() {
         r#"{"grid":{"days":1,"periods":4,"slots":10},"capacitors_farads":[2.0],"distill":{}}"#;
     let input = session(config, &[]);
     let mut out = Vec::new();
-    let Err(err) = serve(Cursor::new(input), &mut out) else {
-        panic!("config accepted a distill spec with no dbn");
-    };
+    let err = serve(Cursor::new(input), &mut out)
+        .err()
+        .expect("config accepted a distill spec with no dbn");
     assert!(err.to_string().contains("requires a `dbn` spec"), "{err}");
 }

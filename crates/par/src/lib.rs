@@ -85,25 +85,6 @@ where
     parts.into_iter().flatten().collect()
 }
 
-/// Splits `0..n` into contiguous ranges of at most `chunk` items and
-/// maps `f` over the ranges, in parallel, returning one result per
-/// range in range order. This is the fan-out shape of the batched
-/// engine: each range becomes one lockstep batch, and ordered
-/// reassembly keeps sweep output byte-identical to a serial run.
-///
-/// # Panics
-///
-/// Re-raises any panic from `f` on the calling thread.
-pub fn par_map_ranges<R, F>(n: usize, chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    let chunk = chunk.max(1);
-    let ranges = n.div_ceil(chunk);
-    par_map_range(ranges, |c| f(c * chunk..((c + 1) * chunk).min(n)))
-}
-
 /// Maps `f` over a slice, in parallel, returning results in input
 /// order.
 ///
@@ -134,31 +115,13 @@ where
 /// Chunks beyond `items.len()` (more states than items) receive an
 /// empty item slice.
 ///
-/// # Panics
-///
-/// Re-raises any panic from `f` on the calling thread.
-pub fn par_zip_chunks_mut<T, S, R, F>(items: &mut [T], states: &mut [S], f: F) -> Vec<R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut [T], &mut S) -> R + Sync,
-{
-    par_zip_chunks_mut_quarantine(items, states, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic::resume_unwind(e)))
-        .collect()
-}
-
-/// [`par_zip_chunks_mut`] that *quarantines* worker panics instead of
-/// re-raising them: each chunk's result is `Ok(r)` or `Err(payload)`,
-/// so one poisoned chunk cannot take down the siblings (or the
-/// caller). The service layer uses this to turn a panicking scenario
-/// into a per-request error line instead of a dead worker pool.
-///
-/// The chunk whose worker panicked leaves its `items`/`state` in
-/// whatever state the unwind found them — callers must treat them as
-/// garbage.
+/// Worker panics are *quarantined* instead of re-raised: each chunk's
+/// result is `Ok(r)` or `Err(payload)`, so one poisoned chunk cannot
+/// take down the siblings (or the caller). The service layer uses this
+/// to turn a panicking scenario into a per-request error line instead
+/// of a dead worker pool. The chunk whose worker panicked leaves its
+/// `items`/`state` in whatever state the unwind found them — callers
+/// must treat them as garbage.
 pub fn par_zip_chunks_mut_quarantine<T, S, R, F>(
     items: &mut [T],
     states: &mut [S],
@@ -240,20 +203,23 @@ mod tests {
         assert_eq!(parallel, serial);
     }
 
-    #[test]
-    fn range_chunks_cover_exactly_once() {
-        let parts = par_map_ranges(10, 4, |r| r.collect::<Vec<usize>>());
-        assert_eq!(parts, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
-        assert!(par_map_ranges(0, 4, |r| r.len()).is_empty());
-        // A zero chunk is clamped to 1 instead of dividing by zero.
-        assert_eq!(par_map_ranges(3, 0, |r| r.start), vec![0, 1, 2]);
+    /// Unwraps every chunk's result; these tests panic in no worker.
+    fn zip_chunks<T: Send, S: Send, R: Send>(
+        items: &mut [T],
+        states: &mut [S],
+        f: impl Fn(usize, &mut [T], &mut S) -> R + Sync,
+    ) -> Vec<R> {
+        par_zip_chunks_mut_quarantine(items, states, f)
+            .into_iter()
+            .map(|r| r.expect("no worker panicked"))
+            .collect()
     }
 
     #[test]
     fn zip_chunks_partitions_deterministically() {
         let mut items: Vec<usize> = (0..10).collect();
         let mut states = vec![0usize; 3];
-        let seen = par_zip_chunks_mut(&mut items, &mut states, |c, chunk, state| {
+        let seen = zip_chunks(&mut items, &mut states, |c, chunk, state| {
             *state = chunk.len();
             (c, chunk.to_vec())
         });
@@ -273,7 +239,7 @@ mod tests {
     fn zip_chunks_mutates_items_and_states() {
         let mut items: Vec<i64> = (0..23).collect();
         let mut states: Vec<i64> = vec![0; 4];
-        par_zip_chunks_mut(&mut items, &mut states, |_, chunk, state| {
+        zip_chunks(&mut items, &mut states, |_, chunk, state| {
             for x in chunk.iter_mut() {
                 *x *= 2;
                 *state += *x;
@@ -289,30 +255,17 @@ mod tests {
         // More states than items: trailing chunks see empty slices.
         let mut items = vec![1, 2];
         let mut states = vec![0usize; 5];
-        let lens = par_zip_chunks_mut(&mut items, &mut states, |_, chunk, _| chunk.len());
+        let lens = zip_chunks(&mut items, &mut states, |_, chunk, _| chunk.len());
         assert_eq!(lens.iter().sum::<usize>(), 2);
         assert_eq!(lens.len(), 5);
         // No states: nothing runs.
         let mut none: Vec<usize> = Vec::new();
-        assert!(par_zip_chunks_mut(&mut items, &mut none, |_, _, _: &mut usize| 1).is_empty());
+        assert!(zip_chunks(&mut items, &mut none, |_, _, _: &mut usize| 1).is_empty());
         // No items: every state still gets a (empty) call.
         let mut empty: Vec<usize> = Vec::new();
-        let calls = par_zip_chunks_mut(&mut empty, &mut states, |c, chunk, _| (c, chunk.len()));
+        let calls = zip_chunks(&mut empty, &mut states, |c, chunk, _| (c, chunk.len()));
         assert_eq!(calls.len(), 5);
         assert!(calls.iter().all(|&(_, n)| n == 0));
-    }
-
-    #[test]
-    fn zip_chunks_worker_panic_propagates() {
-        let result = panic::catch_unwind(|| {
-            let mut items: Vec<usize> = (0..8).collect();
-            let mut states = vec![(); 4];
-            par_zip_chunks_mut(&mut items, &mut states, |c, _, _| {
-                assert!(c != 2, "boom");
-                c
-            })
-        });
-        assert!(result.is_err());
     }
 
     #[test]

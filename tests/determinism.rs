@@ -1,9 +1,14 @@
 //! Reproducibility: every stochastic component is seeded, so identical
 //! configurations must give bit-identical results across runs.
 
+use std::sync::Arc;
+
+use helio_ann::{
+    CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable,
+};
 use helio_solar::WeatherProcess;
 use heliosched::prelude::*;
-use heliosched::{DpConfig, NodeConfig, OfflineConfig};
+use heliosched::{DpConfig, NodeConfig, OfflineConfig, SwitchRule};
 
 fn grid(days: usize) -> TimeGrid {
     TimeGrid::new(days, 24, 10, Seconds::new(60.0)).expect("valid grid")
@@ -90,9 +95,89 @@ fn mpc_with_noisy_oracle_is_reproducible() {
             24,
             DpConfig::default(),
             0.5,
-            heliosched::SwitchRule::default(),
+            SwitchRule::default(),
         );
         engine.run(&mut p).expect("run")
     };
     assert_eq!(run(), run());
+}
+
+/// A batch of inter, shared-DBN, resilient-wrapped DBN and two
+/// distilled lanes on one fold table, run sharded at 1 and 2 workers:
+/// every report is byte-identical to its own sequential engine run.
+#[test]
+fn batched_engine_matches_sequential() {
+    let node = NodeConfig::builder(grid(1))
+        .capacitors(&[Farads::new(2.0), Farads::new(15.0)])
+        .build()
+        .expect("node");
+    let graph = benchmarks::ecg();
+    // Debug-mode-small models: a synthetic training set, a short
+    // back-propagation run and a shallow distilled tree.
+    let in_dim = 10 + 2 + 1;
+    let inputs: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let mut v = vec![(i % 7) as f64 * 10.0; in_dim];
+            v[in_dim - 1] = 0.3;
+            v
+        })
+        .collect();
+    let targets: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let mut v = vec![(i % 2) as f64, 1.0];
+            v.extend(vec![1.0; graph.len()]);
+            v
+        })
+        .collect();
+    let mut dbn_cfg = DbnConfig::small(2);
+    dbn_cfg.bp_epochs = 60;
+    let dbn = Arc::new(Dbn::train(&inputs, &targets, &dbn_cfg).expect("train"));
+    let fallback = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).expect("compile"));
+    let distill_cfg = DistillConfig {
+        depth_const: 2,
+        depth_vary: 2,
+        samples: 512,
+        candidates: 8,
+        holdout: 128,
+        ..DistillConfig::small(3)
+    };
+    let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &distill_cfg).expect("distill"));
+    let table = Arc::new(FoldTable::new(policy, FoldTable::DEFAULT_CAPACITY));
+
+    let make = |i: usize| -> Box<dyn PeriodPlanner> {
+        let shared_dbn =
+            || ProposedPlanner::from_shared_dbn(Arc::clone(&dbn), 0.5, SwitchRule::default());
+        match i {
+            0 => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
+            1 => Box::new(shared_dbn()),
+            2 => Box::new(ResilientPlanner::new(Box::new(shared_dbn()))),
+            _ => Box::new(ProposedPlanner::from_distilled_with_table(
+                Arc::clone(&table),
+                Arc::clone(&fallback),
+                0.5,
+                SwitchRule::default(),
+            )),
+        }
+    };
+    let traces: Vec<_> = (0..5).map(|i| trace(1, 40 + i)).collect();
+    for shards in [1, 2] {
+        let mut batch = BatchEngine::new(&node, &graph).expect("batch engine");
+        for (i, t) in traces.iter().enumerate() {
+            batch.push(BatchScenario::new(t, make(i))).expect("push");
+        }
+        let batched = batch.run_sharded(shards).expect("batched run");
+        assert_eq!(batched.len(), traces.len());
+        for (i, (t, b)) in traces.iter().zip(&batched).enumerate() {
+            let mut planner = make(i);
+            let sequential = Engine::new(&node, &graph, t)
+                .expect("engine")
+                .run(planner.as_mut())
+                .expect("run");
+            assert_eq!(
+                serde_json::to_string(b).expect("encode"),
+                serde_json::to_string(&sequential).expect("encode"),
+                "scenario {i} diverged at {shards} shards"
+            );
+        }
+    }
 }
