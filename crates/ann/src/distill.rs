@@ -1178,7 +1178,11 @@ const FOLD_KEY_STACK: usize = 32;
 ///
 /// Memory is bounded: past `capacity` distinct prefixes the
 /// least-recently-used slot is evicted, so multi-year traces cannot
-/// grow the table without limit.
+/// grow the table without limit. Recency is an exact LRU kept in O(1)
+/// per lookup: a slab of nodes on a doubly linked list, most recent
+/// first, indexed by a hash map whose key `Arc` the node shares (each
+/// prefix is stored once). A prefix is "used" when it is inserted and
+/// whenever a lookup returns its fold; the victim is the list's tail.
 ///
 /// Interior-mutable behind a `Mutex`, so one table (behind an `Arc`)
 /// serves every scenario in a `BatchEngine` batch, every shard of
@@ -1193,25 +1197,96 @@ pub struct FoldTable {
     inner: Mutex<FoldTableInner>,
 }
 
-#[derive(Debug, Default)]
+/// End-of-list marker for [`FoldNode`] links.
+const NIL: usize = usize::MAX;
+
+#[derive(Debug)]
 struct FoldTableInner {
-    slots: HashMap<Box<[u64]>, FoldSlot>,
-    clock: u64,
+    /// Prefix → slab index of its node.
+    index: HashMap<Arc<[u64]>, usize>,
+    /// Grows to `capacity` nodes; past that, each new prefix reuses
+    /// the evicted tail's node.
+    nodes: Vec<FoldNode>,
+    /// Most recently used node.
+    head: usize,
+    /// Least recently used node: the next eviction victim.
+    tail: usize,
 }
 
 #[derive(Debug)]
-enum FoldSlot {
-    /// Prefix seen exactly once — the fold is not yet worth building.
-    SeenOnce { stamp: u64 },
-    /// Fold built and shared.
-    Ready { stamp: u64, entry: Arc<FoldEntry> },
+struct FoldNode {
+    /// The same allocation as this node's key in the index.
+    key: Arc<[u64]>,
+    /// `None` while the prefix has been seen exactly once — the fold
+    /// is not yet worth building.
+    fold: Option<Arc<FoldEntry>>,
+    prev: usize,
+    next: usize,
 }
 
-impl FoldSlot {
-    fn stamp(&self) -> u64 {
-        match self {
-            Self::SeenOnce { stamp } | Self::Ready { stamp, .. } => *stamp,
+impl FoldTableInner {
+    fn new() -> Self {
+        Self {
+            index: HashMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        self.nodes[i].prev = NIL;
+        self.nodes[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.nodes[h].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks node `i` most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    /// Records a first sighting of `key`, evicting the least recently
+    /// used prefix when the table already holds `capacity`.
+    fn insert(&mut self, key: &[u64], capacity: usize) {
+        let key: Arc<[u64]> = Arc::from(key);
+        let node = FoldNode {
+            key: Arc::clone(&key),
+            fold: None,
+            prev: NIL,
+            next: NIL,
+        };
+        // `capacity >= 1`, so a full table has a tail.
+        let i = if self.index.len() >= capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.index.remove(&self.nodes[victim].key);
+            self.nodes[victim] = node;
+            victim
+        } else {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        };
+        self.index.insert(key, i);
+        self.push_front(i);
     }
 }
 
@@ -1227,7 +1302,7 @@ impl FoldTable {
         Self {
             policy,
             capacity: capacity.max(1),
-            inner: Mutex::new(FoldTableInner::default()),
+            inner: Mutex::new(FoldTableInner::new()),
         }
     }
 
@@ -1244,7 +1319,7 @@ impl FoldTable {
     /// Number of prefixes currently tracked (seen-once markers and
     /// built folds both count toward [`FoldTable::capacity`]).
     pub fn len(&self) -> usize {
-        self.lock().slots.len()
+        self.lock().index.len()
     }
 
     /// Whether the table has seen no prefix yet.
@@ -1253,9 +1328,9 @@ impl FoldTable {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, FoldTableInner> {
-        // A panic while the lock was held can only have interrupted a
-        // slot update; every slot state is individually valid, so the
-        // cache stays usable (worst case: a fold is rebuilt).
+        // The only work under the lock that can fail — building a
+        // fold — runs before any index or list update, so a poisoned
+        // table is still consistent (worst case: a fold is rebuilt).
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1267,7 +1342,8 @@ impl FoldTable {
     /// [`DistilledPolicy::predict_into`] path, which is bit-identical
     /// and strictly cheaper for a prefix never revisited. The hit
     /// path allocates nothing (prefixes up to [`FOLD_KEY_STACK`]
-    /// features build their key on the stack).
+    /// features build their key on the stack), and every path costs
+    /// O(1) table work besides hashing the key.
     ///
     /// # Errors
     ///
@@ -1290,38 +1366,20 @@ impl FoldTable {
             &heap
         };
         let mut inner = self.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(slot) = inner.slots.get_mut(key) {
-            return match slot {
-                FoldSlot::Ready { stamp: s, entry } => {
-                    *s = stamp;
-                    Ok(Some(Arc::clone(entry)))
-                }
-                FoldSlot::SeenOnce { .. } => {
-                    let entry = Arc::new(FoldEntry::build(&self.policy, x)?);
-                    *slot = FoldSlot::Ready {
-                        stamp,
-                        entry: Arc::clone(&entry),
-                    };
-                    Ok(Some(entry))
-                }
-            };
-        }
-        if inner.slots.len() >= self.capacity {
-            // O(n) LRU scan: eviction only fires past the capacity
-            // bound, and what survives affects throughput, not bytes.
-            let victim = inner
-                .slots
-                .iter()
-                .min_by_key(|(_, s)| s.stamp())
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                inner.slots.remove(&victim);
+        let Some(&i) = inner.index.get(key) else {
+            inner.insert(key, self.capacity);
+            return Ok(None);
+        };
+        let entry = match &inner.nodes[i].fold {
+            Some(entry) => Arc::clone(entry),
+            None => {
+                let entry = Arc::new(FoldEntry::build(&self.policy, x)?);
+                inner.nodes[i].fold = Some(Arc::clone(&entry));
+                entry
             }
-        }
-        inner.slots.insert(key.into(), FoldSlot::SeenOnce { stamp });
-        Ok(None)
+        };
+        inner.touch(i);
+        Ok(Some(entry))
     }
 }
 

@@ -2,13 +2,14 @@
 //! allocation-free in steady state: distillation pays the whole setup
 //! cost, the per-period prewalk/fold reuses its buffer, and every
 //! `predict_folded` call after the first — the per-decision hot path —
-//! touches no allocator at all.
+//! touches no allocator at all, and neither does a shared
+//! [`FoldTable`] lookup that hits a built fold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy};
+use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable};
 
 struct CountingAlloc;
 
@@ -74,10 +75,7 @@ fn trained_dbn() -> Dbn {
     Dbn::train(&inputs, &targets, &cfg).expect("trains")
 }
 
-#[test]
-#[allow(clippy::disallowed_methods)] // the scalar folded path is the gate's subject
-fn distilled_decision_path_is_allocation_free_after_warmup() {
-    let _serial = serial();
+fn distilled_policy() -> DistilledPolicy {
     let dbn = trained_dbn();
     let cfg = DistillConfig {
         depth_const: 4,
@@ -87,11 +85,13 @@ fn distilled_decision_path_is_allocation_free_after_warmup() {
         holdout: 256,
         ..DistillConfig::small(7)
     };
-    let policy = DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils");
+    DistilledPolicy::distill(&dbn, 10, &[], &cfg).expect("distils")
+}
 
-    // Ten "periods" of five decisions each: the constant prefix is
-    // fixed within a period, the varying tail changes per decision.
-    let periods: Vec<Vec<Vec<f64>>> = (0..10)
+/// Ten "periods" of five decisions each: the constant prefix is fixed
+/// within a period, the varying tail changes per decision.
+fn periods() -> Vec<Vec<Vec<f64>>> {
+    (0..10)
         .map(|p| {
             (0..5)
                 .map(|d| {
@@ -107,7 +107,15 @@ fn distilled_decision_path_is_allocation_free_after_warmup() {
                 })
                 .collect()
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+#[allow(clippy::disallowed_methods)] // the scalar folded path is the gate's subject
+fn distilled_decision_path_is_allocation_free_after_warmup() {
+    let _serial = serial();
+    let policy = distilled_policy();
+    let periods = periods();
 
     let mut folded = Vec::new();
     let mut out = Vec::new();
@@ -135,5 +143,32 @@ fn distilled_decision_path_is_allocation_free_after_warmup() {
         count, 0,
         "{count} allocations across 10 periods × 5 decisions — the \
          prewalk/fold/predict path must reuse its buffers"
+    );
+}
+
+#[test]
+fn warm_fold_table_hits_allocate_nothing() {
+    let _serial = serial();
+    let table = FoldTable::new(Arc::new(distilled_policy()), FoldTable::DEFAULT_CAPACITY);
+    let periods = periods();
+    // Warmup: each period's first sighting records its prefix, the
+    // second builds and publishes the fold.
+    for period in &periods {
+        assert!(table.lookup(&period[0]).expect("lookup").is_none());
+        assert!(table.lookup(&period[0]).expect("lookup").is_some());
+    }
+
+    let count = allocations_during(|| {
+        for period in &periods {
+            for x in period {
+                let entry = table.lookup(x).expect("lookup");
+                assert!(entry.is_some(), "a warm prefix must hit its fold");
+            }
+        }
+    });
+    assert_eq!(
+        count, 0,
+        "{count} allocations across 50 warm fold-table hits — the hit \
+         path must build its key on the stack and only clone an `Arc`"
     );
 }

@@ -8,10 +8,15 @@
 //!   the student's decisions (rounded heads, thresholded admission
 //!   bits) match the teacher's at a rate far above the recorded
 //!   holdout floor's complement, pinning distillation quality.
+//! * **Exact LRU** — the shared fold table answers and evicts exactly
+//!   like a reference model of the last-use-stamp scan it replaced.
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
-use helio_ann::{decisions_match, Dbn, DbnConfig, DistillConfig, DistilledPolicy, PredictScratch};
+use helio_ann::{
+    decisions_match, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable, PredictScratch,
+};
 use proptest::prelude::*;
 
 /// A scheduler-shaped teacher (13 → 16 → 10 → 10) and its distilled
@@ -93,8 +98,70 @@ fn recorded_agreement_clears_the_quality_floor() {
     );
 }
 
+/// Reference model of the fold table's recency rule as a last-use
+/// stamp per prefix: a lookup of a tracked prefix answers `Some` and
+/// restamps it, an untracked one answers `None` and is inserted after
+/// a full table drops its smallest stamp (an O(capacity) scan).
+struct StampScanModel {
+    capacity: usize,
+    clock: u64,
+    stamps: HashMap<usize, u64>,
+}
+
+impl StampScanModel {
+    fn lookup(&mut self, prefix: usize) -> bool {
+        self.clock += 1;
+        if let Some(stamp) = self.stamps.get_mut(&prefix) {
+            *stamp = self.clock;
+            return true;
+        }
+        if self.stamps.len() >= self.capacity {
+            let victim = self
+                .stamps
+                .iter()
+                .min_by_key(|(_, stamp)| **stamp)
+                .map(|(prefix, _)| *prefix);
+            if let Some(victim) = victim {
+                self.stamps.remove(&victim);
+            }
+        }
+        self.stamps.insert(prefix, self.clock);
+        false
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random lookup streams over at most 12 distinct prefixes give
+    /// the same `None`/`Some` sequence and the same `len()` from the
+    /// table and from the stamp-scan model after every step, at every
+    /// capacity from 1 to 8 — so the table evicts exactly the prefix
+    /// the scan would have.
+    #[test]
+    fn fold_table_evicts_exactly_like_the_stamp_scan(
+        capacity in 1usize..=8,
+        stream in prop::collection::vec(0usize..12, 0..96),
+        tails in prop::collection::vec(0.0f64..1.0, 3),
+    ) {
+        let (dbn, policy) = fixture();
+        let table = FoldTable::new(Arc::new(policy.clone()), capacity);
+        let mut model = StampScanModel { capacity, clock: 0, stamps: HashMap::new() };
+        for (step, &prefix) in stream.iter().enumerate() {
+            // The prefix picks the ten constant features; the tail
+            // varies per step and must not affect the key.
+            let unit: Vec<f64> = (0..13)
+                .map(|j| match j {
+                    0..=9 => ((prefix * 13 + j) as f64 * 0.37).sin().abs(),
+                    _ => tails[(step + j) % 3],
+                })
+                .collect();
+            let x = in_range(dbn, &unit);
+            let got = table.lookup(&x).expect("lookup").is_some();
+            prop_assert_eq!(got, model.lookup(prefix), "step {step}: prefix {prefix}");
+            prop_assert_eq!(table.len(), model.stamps.len(), "step {step}: len");
+        }
+    }
 
     /// A reloaded artifact is bit-identical in behaviour: `predict`
     /// returns the same bits before and after a JSON round trip, and

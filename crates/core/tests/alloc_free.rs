@@ -8,15 +8,21 @@
 //! allocation count of a run must not depend on how many days it
 //! simulates — extra days are free. The test pins exactly that, for all
 //! three fixed schedulers.
+//!
+//! Report encoding gets the same pin: a warm `SimReport` serialised
+//! into a `String` that already has room writes every float and
+//! integer in place, with no allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
 use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder};
 use helio_tasks::benchmarks;
 use heliosched::{Engine, FixedPlanner, NodeConfig, Pattern};
+use serde::Serialize;
 
 struct CountingAlloc;
 
@@ -46,6 +52,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The counter is process-global; each test holds this lock for its
+/// whole body so sibling tests don't count into a measured region.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
@@ -73,6 +87,7 @@ fn setup(days: usize) -> (NodeConfig, SolarTrace) {
 
 #[test]
 fn slot_path_allocates_nothing_after_warm_up() {
+    let _serial = serial();
     let graph = benchmarks::ecg();
     let (node_short, trace_short) = setup(2);
     let (node_long, trace_long) = setup(6);
@@ -94,6 +109,31 @@ fn slot_path_allocates_nothing_after_warm_up() {
             long, short,
             "{pattern:?}: {long} allocations over 6 days vs {short} over 2 — \
              the slot path allocates per slot or per period"
+        );
+    }
+}
+
+#[test]
+fn encoding_a_report_into_a_sized_string_allocates_nothing() {
+    let _serial = serial();
+    let graph = benchmarks::ecg();
+    let (node, trace) = setup(2);
+    let engine = Engine::new(&node, &graph, &trace).unwrap();
+    for pattern in [Pattern::Asap, Pattern::Inter, Pattern::Intra] {
+        let report = engine.run(&mut FixedPlanner::new(pattern, 0)).unwrap();
+        let reference = serde_json::to_string(&report).unwrap();
+        let mut out = String::with_capacity(reference.len());
+        let count = allocations_during(|| report.serialize_json(&mut out));
+        assert_eq!(
+            out, reference,
+            "{pattern:?}: in-place encoding changed the bytes"
+        );
+        assert_eq!(
+            count,
+            0,
+            "{pattern:?}: {count} allocations encoding a {}-byte report into a \
+             sized buffer — some field is formatted through a temporary `String`",
+            reference.len()
         );
     }
 }

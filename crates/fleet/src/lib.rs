@@ -29,6 +29,7 @@
 //! protocol stream.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1062,8 +1063,9 @@ pub fn write_reports<W: Write>(
     id: u64,
     reports: &[SimReport],
 ) -> Result<(), FleetError> {
+    let mut line = String::new();
     for (index, report) in reports.iter().enumerate() {
-        write_result_line(out, id, index, Ok(report))?;
+        write_result_line(out, &mut line, id, index, Ok(report))?;
     }
     out.flush()?;
     Ok(())
@@ -1077,8 +1079,10 @@ fn write_results<W: Write>(
     id: u64,
     results: &[Result<SimReport, String>],
 ) -> Result<(), FleetError> {
+    let mut line = String::new();
     for (index, result) in results.iter().enumerate() {
-        write_result_line(out, id, index, result.as_ref().map_err(String::as_str))?;
+        let result = result.as_ref().map_err(String::as_str);
+        write_result_line(out, &mut line, id, index, result)?;
     }
     out.flush()?;
     Ok(())
@@ -1086,25 +1090,32 @@ fn write_results<W: Write>(
 
 /// The one response-line writer behind [`write_reports`] and
 /// [`write_results`]: `{"id":N,"index":I,"report":…}` for a report,
-/// `{"id":N,"index":I,"error":"…"}` for a scenario that failed.
+/// `{"id":N,"index":I,"error":"…"}` for a scenario that failed. The
+/// whole line is encoded into `line` — a buffer the caller reuses for
+/// every line of a request, so it stops growing after the largest
+/// report — and handed to `out` in one `write_all`.
 fn write_result_line<W: Write>(
     out: &mut W,
+    line: &mut String,
     id: u64,
     index: usize,
     result: Result<&SimReport, &str>,
 ) -> Result<(), FleetError> {
+    line.clear();
+    // Writing into a `String` cannot fail.
+    let _ = write!(line, "{{\"id\":{id},\"index\":{index},");
     match result {
         Ok(report) => {
-            let json = serde_json::to_string(report)
-                .map_err(|e| FleetError::Engine(format!("report serialisation failed: {e}")))?;
-            writeln!(out, "{{\"id\":{id},\"index\":{index},\"report\":{json}}}")?;
+            line.push_str("\"report\":");
+            report.serialize_json(line);
         }
         Err(msg) => {
-            let msg = serde_json::to_string(msg)
-                .map_err(|e| FleetError::Engine(format!("error serialisation failed: {e}")))?;
-            writeln!(out, "{{\"id\":{id},\"index\":{index},\"error\":{msg}}}")?;
+            line.push_str("\"error\":");
+            serde::write_escaped(msg, line);
         }
     }
+    line.push_str("}\n");
+    out.write_all(line.as_bytes())?;
     Ok(())
 }
 

@@ -7,6 +7,8 @@
 //! slot) recorded elsewhere. No CSV crate needed — the format is two
 //! plain columns.
 
+use std::fmt::Write as _;
+
 use helio_common::time::TimeGrid;
 use helio_common::units::Watts;
 
@@ -63,11 +65,8 @@ pub fn to_csv(trace: &SolarTrace) -> String {
     let mut out = String::with_capacity(grid.total_slots() * 12 + 32);
     out.push_str("slot,power_mw\n");
     for (i, slot) in grid.slots().enumerate() {
-        out.push_str(&format!(
-            "{},{:.6}\n",
-            i,
-            trace.slot_power(slot).milliwatts()
-        ));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "{},{:.6}", i, trace.slot_power(slot).milliwatts());
     }
     out
 }

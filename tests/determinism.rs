@@ -103,8 +103,9 @@ fn mpc_with_noisy_oracle_is_reproducible() {
 }
 
 /// A batch of inter, shared-DBN, resilient-wrapped DBN and two
-/// distilled lanes on one fold table, run sharded at 1 and 2 workers:
-/// every report is byte-identical to its own sequential engine run.
+/// distilled lanes on one fold table, run sharded at 1 and 2 workers
+/// with the table at its default capacity and at capacity 1: every
+/// report is byte-identical to its own sequential engine run.
 #[test]
 fn batched_engine_matches_sequential() {
     let node = NodeConfig::builder(grid(1))
@@ -142,42 +143,48 @@ fn batched_engine_matches_sequential() {
         ..DistillConfig::small(3)
     };
     let policy = Arc::new(DistilledPolicy::distill(&dbn, 10, &[], &distill_cfg).expect("distill"));
-    let table = Arc::new(FoldTable::new(policy, FoldTable::DEFAULT_CAPACITY));
-
-    let make = |i: usize| -> Box<dyn PeriodPlanner> {
-        let shared_dbn =
-            || ProposedPlanner::from_shared_dbn(Arc::clone(&dbn), 0.5, SwitchRule::default());
-        match i {
-            0 => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
-            1 => Box::new(shared_dbn()),
-            2 => Box::new(ResilientPlanner::new(Box::new(shared_dbn()))),
-            _ => Box::new(ProposedPlanner::from_distilled_with_table(
-                Arc::clone(&table),
-                Arc::clone(&fallback),
-                0.5,
-                SwitchRule::default(),
-            )),
-        }
-    };
     let traces: Vec<_> = (0..5).map(|i| trace(1, 40 + i)).collect();
-    for shards in [1, 2] {
-        let mut batch = BatchEngine::new(&node, &graph).expect("batch engine");
-        for (i, t) in traces.iter().enumerate() {
-            batch.push(BatchScenario::new(t, make(i))).expect("push");
+
+    // Capacity 1 evicts on every first sighting, so the two distilled
+    // lanes keep pushing each other's prefix out: output bytes must
+    // not depend on what the shared fold table holds.
+    for capacity in [FoldTable::DEFAULT_CAPACITY, 1] {
+        let table = Arc::new(FoldTable::new(Arc::clone(&policy), capacity));
+        let make = |i: usize| -> Box<dyn PeriodPlanner> {
+            let shared_dbn =
+                || ProposedPlanner::from_shared_dbn(Arc::clone(&dbn), 0.5, SwitchRule::default());
+            match i {
+                0 => Box::new(FixedPlanner::new(Pattern::Inter, 1)),
+                1 => Box::new(shared_dbn()),
+                2 => Box::new(ResilientPlanner::new(Box::new(shared_dbn()))),
+                _ => Box::new(ProposedPlanner::from_distilled_with_table(
+                    Arc::clone(&table),
+                    Arc::clone(&fallback),
+                    0.5,
+                    SwitchRule::default(),
+                )),
+            }
+        };
+        for shards in [1, 2] {
+            let mut batch = BatchEngine::new(&node, &graph).expect("batch engine");
+            for (i, t) in traces.iter().enumerate() {
+                batch.push(BatchScenario::new(t, make(i))).expect("push");
+            }
+            let batched = batch.run_sharded(shards).expect("batched run");
+            assert_eq!(batched.len(), traces.len());
+            for (i, (t, b)) in traces.iter().zip(&batched).enumerate() {
+                let mut planner = make(i);
+                let sequential = Engine::new(&node, &graph, t)
+                    .expect("engine")
+                    .run(planner.as_mut())
+                    .expect("run");
+                assert_eq!(
+                    serde_json::to_string(b).expect("encode"),
+                    serde_json::to_string(&sequential).expect("encode"),
+                    "scenario {i} diverged at {shards} shards, fold capacity {capacity}"
+                );
+            }
         }
-        let batched = batch.run_sharded(shards).expect("batched run");
-        assert_eq!(batched.len(), traces.len());
-        for (i, (t, b)) in traces.iter().zip(&batched).enumerate() {
-            let mut planner = make(i);
-            let sequential = Engine::new(&node, &graph, t)
-                .expect("engine")
-                .run(planner.as_mut())
-                .expect("run");
-            assert_eq!(
-                serde_json::to_string(b).expect("encode"),
-                serde_json::to_string(&sequential).expect("encode"),
-                "scenario {i} diverged at {shards} shards"
-            );
-        }
+        assert!(table.len() <= capacity);
     }
 }
