@@ -418,23 +418,54 @@ mod tests {
         assert!(dbn.predict_into(&[1.0], &mut scratch, &mut out).is_err());
     }
 
-    #[test]
-    fn predict_batch_into_is_bitwise_per_row_predict() {
-        let (xs, ys) = dataset();
-        let dbn = Dbn::train(&xs, &ys, &DbnConfig::small(8)).unwrap();
-        let rows: Vec<Vec<f64>> = xs.iter().step_by(13).cloned().collect();
-        let inputs = Matrix::from_rows(&rows).unwrap();
-        let mut scratch = BatchPredictScratch::default();
+    /// Runs `rows` through `predict_batch_into` twice (the second pass
+    /// reuses the buffers) and asserts every output row is bitwise the
+    /// per-row `predict`.
+    fn assert_batch_is_per_row(dbn: &Dbn, rows: &[Vec<f64>], scratch: &mut BatchPredictScratch) {
+        let inputs = Matrix::from_rows(rows).unwrap();
         let mut out = Matrix::default();
-        // Twice, so the second pass exercises reused buffers.
         for _ in 0..2 {
-            dbn.predict_batch_into(&inputs, &mut scratch, &mut out)
-                .unwrap();
+            dbn.predict_batch_into(&inputs, scratch, &mut out).unwrap();
             assert_eq!((out.rows(), out.cols()), (rows.len(), dbn.output_dim()));
             for (r, x) in rows.iter().enumerate() {
                 assert_eq!(out.row(r), dbn.predict(x).unwrap().as_slice(), "row {r}");
             }
         }
+    }
+
+    #[test]
+    fn predict_batch_into_is_bitwise_per_row_predict() {
+        let (xs, ys) = dataset();
+        let dbn = Dbn::train(&xs, &ys, &DbnConfig::small(8)).unwrap();
+        let rows: Vec<Vec<f64>> = xs.iter().step_by(13).cloned().collect();
+        let mut scratch = BatchPredictScratch::default();
+        assert_batch_is_per_row(&dbn, &rows, &mut scratch);
+
+        // The deployment width: two 128-unit hidden layers over a
+        // scheduler-shaped 5-in, 7-out mapping. 67 rows give eight full
+        // 8-lane tiles plus a 3-row scalar remainder, and the 7-wide
+        // output layer leaves a column tail after the 4-column blocks.
+        // Identity does not need a good network, so one epoch each.
+        let wide_x: Vec<Vec<f64>> = (0..67)
+            .map(|i| {
+                (0..5)
+                    .map(|k| ((i * 7 + k * 13) % 50) as f64 / 10.0)
+                    .collect()
+            })
+            .collect();
+        let wide_y: Vec<Vec<f64>> = (0..67)
+            .map(|i| (0..7).map(|k| ((i + k) % 2) as f64).collect())
+            .collect();
+        let cfg = DbnConfig {
+            hidden: vec![128, 128],
+            rbm_epochs: 1,
+            bp_epochs: 1,
+            ..DbnConfig::small(9)
+        };
+        let wide = Dbn::train(&wide_x, &wide_y, &cfg).unwrap();
+        assert_batch_is_per_row(&wide, &wide_x, &mut scratch);
+
+        let mut out = Matrix::default();
         let bad = Matrix::zeros(2, dbn.input_dim() + 1);
         assert!(dbn
             .predict_batch_into(&bad, &mut scratch, &mut out)

@@ -1,38 +1,68 @@
-//! Criterion benchmarks of the computational kernels behind every
-//! table and figure. The full experiment *results* come from the
-//! `src/bin/*` binaries; these benches time the building blocks so
-//! regressions in the simulator/optimiser show up in CI.
+//! Criterion benchmarks of the kernels behind every table and figure.
+//! End-to-end numbers come from elsewhere: the `src/bin/*` binaries
+//! regenerate the paper's results, and `fleetbench/` (driven by
+//! `BENCHMARK.json`) times the served fleet request path layer by
+//! layer. These benches time the building blocks in isolation, so a
+//! regression in the simulator, the optimiser or an inference kernel
+//! shows up on its own.
 //!
-//! Group names map to paper artifacts:
+//! Groups:
 //! * `fig5_regulator` — efficiency-curve evaluation
 //! * `fig7_solar` — synthetic trace generation
 //! * `table2_migration` — migration experiment (model + reference)
 //! * `fig8_engine` — one simulated day per scheduler pattern
 //! * `slot_loop` — the online hot path over a four-day run (the loop
 //!   `bench_online` reports in results/BENCH_online.json)
-//! * `batch_loop` — B = 16 DBN scenarios through `BatchEngine` vs a
-//!   sequential `Engine::run` loop (the comparison `bench_batch`
-//!   reports in results/BENCH_batch.json)
+//! * `batch_loop` — **kernel-only**, `[128,128]` DBN: a sequential
+//!   `Engine::run` loop vs one `BatchEngine::run` at B = 16, and
+//!   `run_sharded` over 1, 2 and 4 shards at B = 64
 //! * `fig8_fig9_dp` — the long-term DP over one day
+//! * `matmul` — one `matvec` per row vs the blocked `matmul_bt`
+//! * `dp_memoization` — serial reference DP vs memoized + parallel
+//!   (the speedup `bench_offline` reports)
 //! * `fig10a_mpc` — an MPC replan at several horizons
 //! * `fig10b_sizing` — per-day capacitor sizing
 //! * `sec65_dbn` — DBN training and inference (the on-node coarse step)
+//! * `decision_loop` — f64 `predict_into` vs the compiled f32 and int8
+//!   forwards on the golden `[16,10]` network
+//! * `distill_loop` — the distilled artifact's flat, prewalk + fold and
+//!   folded paths on the golden network; plus, **kernel-only** on the
+//!   `[128,128]` DBN's artifact over a synthetic decision stream, the
+//!   fleet-shared `FoldTable` + `predict_batch_folded` against
+//!   per-scenario `predict_folded` at B = 64
+//! * `train_loop` — scratch-based CD-1 and back-propagation epochs vs
+//!   the per-step loops they replaced (`bench_train`'s stages)
+//!
+//! No planner serves the `[128,128]` network: the paper's planner runs
+//! the `[16,10]` DBN or its distilled artifact once per period. The
+//! kernel-only rows measure batching on an inference-heavy network and
+//! a synthetic stream, so their ratios are not end-to-end speedups.
+//! Byte identity of the batched paths is gated by tests, not here:
+//! `tests/golden_online.rs`, `crates/core/tests/batch_props.rs`,
+//! `crates/core/tests/shard_props.rs`, `golden_distilled` and the
+//! `helio-ann` unit tests.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
+use helio_ann::{Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldEntry, FoldTable};
 use helio_bench::{paper_grid, weather_trace};
+use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Joules, Seconds, Volts};
 use helio_nvp::Pmu;
-use helio_solar::{NoisyOracle, SolarPanel, SolarPredictor, TraceBuilder, WeatherProcess};
+use helio_solar::{
+    NoisyOracle, SolarPanel, SolarPredictor, SolarTrace, TraceBuilder, WeatherProcess,
+};
 use helio_storage::reference::measured_migration_efficiency;
 use helio_storage::{
     migration_efficiency, optimal_capacitance, MigrationSpec, RegulatorCurve, StorageModelParams,
     SuperCap,
 };
-use helio_tasks::benchmarks;
+use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::{
-    dmr_level_subsets, optimize_horizon, DpConfig, Engine, FixedPlanner, NodeConfig, Pattern,
+    dmr_level_subsets, optimize_horizon, BatchEngine, BatchScenario, DpConfig, Engine,
+    FixedPlanner, NodeConfig, Pattern, ProposedPlanner, SwitchRule,
 };
 
 fn fig5_regulator(c: &mut Criterion) {
@@ -141,16 +171,21 @@ fn slot_loop(c: &mut Criterion) {
     group.finish();
 }
 
-fn batch_loop(c: &mut Criterion) {
-    // The batched engine against the sequential loop it replaces: 16
-    // DBN-planned scenarios (distinct weather-seeded traces, shared
-    // task set and bank shape) on a decision-dominated grid (two 300 s
-    // slots per period), the same comparison `bench_batch` reports in
-    // results/BENCH_batch.json. Byte-identity of the two modes is
-    // CI-gated by `tests/golden_online.rs`; this group guards the
-    // throughput edge.
-    const B: usize = 16;
-    let grid = helio_common::time::TimeGrid::new(1, 48, 2, Seconds::new(300.0)).expect("grid");
+/// The kernel-only `[128,128]` setup shared by `batch_loop` and
+/// `distill_loop`: a decision-dominated ECG grid (one day of 48
+/// periods, two 300 s slots each), a two-capacitor node, and a DBN with
+/// two 128-unit hidden layers trained on synthetic scheduler-shaped
+/// samples. Decision cost is what these rows time, not decision
+/// quality.
+struct WideNet {
+    grid: TimeGrid,
+    graph: TaskGraph,
+    node: NodeConfig,
+    dbn: Arc<Dbn>,
+}
+
+fn wide_net() -> WideNet {
+    let grid = TimeGrid::new(1, 48, 2, Seconds::new(300.0)).expect("grid");
     let graph = benchmarks::ecg();
     let node = NodeConfig::builder(grid)
         .capacitors(&[Farads::new(2.0), Farads::new(15.0)])
@@ -168,7 +203,7 @@ fn batch_loop(c: &mut Criterion) {
     let targets: Vec<Vec<f64>> = (0..64)
         .map(|i| (0..out_dim).map(|k| ((i + k) % 2) as f64).collect())
         .collect();
-    let cfg = helio_ann::DbnConfig {
+    let cfg = DbnConfig {
         hidden: vec![128, 128],
         rbm_epochs: 10,
         rbm_lr: 0.1,
@@ -176,8 +211,31 @@ fn batch_loop(c: &mut Criterion) {
         bp_lr: 0.4,
         seed: 9,
     };
-    let dbn = std::sync::Arc::new(helio_ann::Dbn::train(&inputs, &targets, &cfg).expect("train"));
-    let traces: Vec<_> = (0..B)
+    let dbn = Arc::new(Dbn::train(&inputs, &targets, &cfg).expect("train"));
+    WideNet {
+        grid,
+        graph,
+        node,
+        dbn,
+    }
+}
+
+fn batch_loop(c: &mut Criterion) {
+    // Kernel-only: DBN-planned scenarios (distinct weather-seeded
+    // traces, shared task set and bank shape) on the `[128,128]`
+    // network. A sequential `Engine::run` loop against one lockstep
+    // `BatchEngine::run` at B = 16 times batched inference; the B = 64
+    // batch split over 1, 2 and 4 shards times the partition-and-join
+    // overhead of the `run_sharded` dispatch that `helio-fleet` drives.
+    const B: usize = 16;
+    const SHARDED_B: usize = 64;
+    let WideNet {
+        grid,
+        graph,
+        node,
+        dbn,
+    } = wide_net();
+    let traces: Vec<SolarTrace> = (0..SHARDED_B)
         .map(|i| {
             TraceBuilder::new(grid, SolarPanel::paper_panel())
                 .seed(9000 + i as u64)
@@ -185,115 +243,37 @@ fn batch_loop(c: &mut Criterion) {
                 .build()
         })
         .collect();
-    let planner = |dbn: &std::sync::Arc<helio_ann::Dbn>| {
-        heliosched::ProposedPlanner::from_shared_dbn(
-            std::sync::Arc::clone(dbn),
-            0.5,
-            heliosched::SwitchRule::default(),
-        )
+    let planner = || ProposedPlanner::from_shared_dbn(Arc::clone(&dbn), 0.5, SwitchRule::default());
+    let batch = |scenarios: usize| {
+        let mut engine = BatchEngine::new(&node, &graph).expect("batch engine");
+        for trace in &traces[..scenarios] {
+            engine
+                .push(BatchScenario::new(trace, Box::new(planner())))
+                .expect("scenario");
+        }
+        engine
     };
     let mut group = c.benchmark_group("batch_loop");
     group.sample_size(20);
     group.bench_function("sequential_16_dbn_scenarios", |b| {
         b.iter(|| {
-            for trace in &traces {
-                let mut p = planner(&dbn);
+            for trace in &traces[..B] {
                 let report = Engine::new(&node, &graph, trace)
                     .expect("engine")
-                    .run(&mut p)
+                    .run(&mut planner())
                     .expect("run");
                 black_box(report);
             }
         })
     });
     group.bench_function("batched_16_dbn_scenarios", |b| {
-        b.iter(|| {
-            let mut engine = heliosched::BatchEngine::new(&node, &graph).expect("batch engine");
-            for trace in &traces {
-                engine
-                    .push(heliosched::BatchScenario::new(
-                        trace,
-                        Box::new(planner(&dbn)),
-                    ))
-                    .expect("scenario");
-            }
-            black_box(engine.run().expect("batched run"))
-        })
+        b.iter(|| black_box(batch(B).run().expect("batched run")))
     });
-    group.finish();
-}
-
-fn fleet_loop(c: &mut Criterion) {
-    // The sharded fleet path against the single-shard batch it
-    // partitions: 64 DBN-planned scenarios split over 1, 2 and 4
-    // shards via `run_sharded` — the dispatch `helio-fleet` and
-    // `bench_fleet` drive. Byte-identity across shard counts is
-    // CI-gated by `tests/golden_online.rs` and `tests/shard_props.rs`;
-    // this group guards the partition-and-join overhead.
-    const B: usize = 64;
-    let grid = helio_common::time::TimeGrid::new(1, 48, 2, Seconds::new(300.0)).expect("grid");
-    let graph = benchmarks::ecg();
-    let node = NodeConfig::builder(grid)
-        .capacitors(&[Farads::new(2.0), Farads::new(15.0)])
-        .build()
-        .expect("node");
-    let in_dim = grid.slots_per_period() + node.capacitors.len() + 1;
-    let out_dim = 2 + graph.len();
-    let inputs: Vec<Vec<f64>> = (0..64)
-        .map(|i| {
-            (0..in_dim)
-                .map(|k| ((i * 7 + k * 13) % 50) as f64 / 10.0)
-                .collect()
-        })
-        .collect();
-    let targets: Vec<Vec<f64>> = (0..64)
-        .map(|i| (0..out_dim).map(|k| ((i + k) % 2) as f64).collect())
-        .collect();
-    let cfg = helio_ann::DbnConfig {
-        hidden: vec![128, 128],
-        rbm_epochs: 10,
-        rbm_lr: 0.1,
-        bp_epochs: 30,
-        bp_lr: 0.4,
-        seed: 9,
-    };
-    let dbn = std::sync::Arc::new(helio_ann::Dbn::train(&inputs, &targets, &cfg).expect("train"));
-    let traces: Vec<_> = (0..B)
-        .map(|i| {
-            TraceBuilder::new(grid, SolarPanel::paper_panel())
-                .seed(17_000 + i as u64)
-                .weather(WeatherProcess::temperate())
-                .build()
-        })
-        .collect();
-    let planner = |dbn: &std::sync::Arc<helio_ann::Dbn>| {
-        heliosched::ProposedPlanner::from_shared_dbn(
-            std::sync::Arc::clone(dbn),
-            0.5,
-            heliosched::SwitchRule::default(),
-        )
-    };
-    let mut group = c.benchmark_group("fleet_loop");
-    group.sample_size(20);
     for shards in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("sharded_64_dbn_scenarios", shards),
             &shards,
-            |b, &s| {
-                b.iter(|| {
-                    let mut engine =
-                        heliosched::BatchEngine::new(&node, &graph).expect("batch engine");
-                    for trace in &traces {
-                        engine
-                            .push(heliosched::BatchScenario::new(
-                                trace,
-                                Box::new(planner(&dbn)),
-                            ))
-                            .expect("scenario");
-                    }
-                    black_box(engine.run_sharded(s).expect("sharded run"))
-                })
-            },
+            |b, &s| b.iter(|| black_box(batch(SHARDED_B).run_sharded(s).expect("sharded run"))),
         );
     }
     group.finish();
@@ -548,7 +528,7 @@ fn decision_loop(c: &mut Criterion) {
     // The per-period decision gap this repo's compiled path closes:
     // reference f64 `predict_into` vs the packed `CompiledDbn` forward
     // at both tiers, on the golden network shape (13 → 16 → 10 → 10).
-    // Tracked per commit alongside slot_loop/batch_loop/fleet_loop.
+    // Tracked per commit alongside slot_loop and batch_loop.
     let inputs: Vec<Vec<f64>> = (0..96)
         .map(|i| {
             (0..13)
@@ -591,6 +571,82 @@ fn decision_loop(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// A synthetic distilled decision stream, indexed `[period][lane]`:
+/// the first `const_prefix` features are shared by every lane of a
+/// period (the run-constant prefix, previous-period slot powers) and
+/// the tail varies per lane (voltages, DMR).
+fn decision_stream(
+    periods: usize,
+    lanes: usize,
+    in_dim: usize,
+    const_prefix: usize,
+) -> Vec<Vec<Vec<f64>>> {
+    (0..periods)
+        .map(|p| {
+            (0..lanes)
+                .map(|lane| {
+                    (0..in_dim)
+                        .map(|k| {
+                            if k < const_prefix {
+                                ((p * 31 + k * 17) % 97) as f64 * 0.13
+                            } else {
+                                ((p * 13 + lane * 29 + k * 7) % 83) as f64 * 0.07
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One pass of `stream` through the per-scenario distilled path: a
+/// private fold table per lane (what `ProposedPlanner::from_distilled`
+/// builds), so each period's prefix is seen once per table and every
+/// decision is a scalar lookup plus predict. Outputs append to `sink`.
+#[allow(clippy::disallowed_methods)] // the scalar predict_folded path is the baseline
+fn per_scenario_pass(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>], sink: &mut Vec<f64>) {
+    let lanes = stream.first().map_or(0, Vec::len);
+    let tables: Vec<FoldTable> = (0..lanes)
+        .map(|_| FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY))
+        .collect();
+    let mut out = Vec::with_capacity(policy.output_dim());
+    for period in stream {
+        for (x, table) in period.iter().zip(&tables) {
+            match table.lookup(x).expect("fold lookup") {
+                Some(e) => policy
+                    .predict_folded(e.cursor(), e.folded(), x, &mut out)
+                    .expect("folded predict"),
+                None => policy.predict_into(x, &mut out).expect("flat predict"),
+            }
+            sink.extend_from_slice(&out);
+        }
+    }
+}
+
+/// The same pass through the fleet-shared path: one fold table across
+/// every lane (each period folds once, fleet-wide) and the multi-lane
+/// batched leaf kernel. Outputs append to `sink` in the per-scenario
+/// pass's order.
+fn shared_pass(policy: &Arc<DistilledPolicy>, stream: &[Vec<Vec<f64>>], sink: &mut Vec<f64>) {
+    let table = FoldTable::new(Arc::clone(policy), FoldTable::DEFAULT_CAPACITY);
+    let mut entries: Vec<Option<Arc<FoldEntry>>> = Vec::new();
+    let mut block: Vec<f64> = Vec::new();
+    let mut out: Vec<f64> = Vec::new();
+    for period in stream {
+        entries.clear();
+        block.clear();
+        for x in period {
+            entries.push(table.lookup(x).expect("fold lookup"));
+            block.extend_from_slice(x);
+        }
+        policy
+            .predict_batch_folded(&entries, &block, &mut out)
+            .expect("batched kernel");
+        sink.extend_from_slice(&out);
+    }
 }
 
 #[allow(clippy::disallowed_methods)] // times the scalar folded path against its alternatives
@@ -653,6 +709,42 @@ fn distill_loop(c: &mut Criterion) {
                 .predict_folded(cursor, &folded, black_box(&inputs[1]), &mut out)
                 .expect("predict");
             out[0]
+        })
+    });
+
+    // Kernel-only fold sharing: the `[128,128]` DBN's artifact over a
+    // synthetic 64-lane stream, per-scenario tables (every period a
+    // cold flat predict) against one shared table feeding the batched
+    // leaf kernel.
+    const LANES: usize = 64;
+    const PERIODS: usize = 192;
+    let wide = wide_net();
+    let spp = wide.grid.slots_per_period();
+    let wide_cfg = DistillConfig {
+        depth_const: 3,
+        depth_vary: 3,
+        samples: 4096,
+        candidates: 16,
+        holdout: 512,
+        ..DistillConfig::small(7)
+    };
+    let wide_policy =
+        Arc::new(DistilledPolicy::distill(&wide.dbn, spp, &[], &wide_cfg).expect("distils"));
+    let stream = decision_stream(PERIODS, LANES, wide.dbn.input_dim(), spp);
+    group.bench_function("per_scenario_64_lanes", |b| {
+        let mut sink = Vec::new();
+        b.iter(|| {
+            sink.clear();
+            per_scenario_pass(&wide_policy, &stream, &mut sink);
+            sink.len()
+        })
+    });
+    group.bench_function("shared_batched_64_lanes", |b| {
+        let mut sink = Vec::new();
+        b.iter(|| {
+            sink.clear();
+            shared_pass(&wide_policy, &stream, &mut sink);
+            sink.len()
         })
     });
     group.finish();
@@ -738,7 +830,6 @@ criterion_group!(
     fig8_engine,
     slot_loop,
     batch_loop,
-    fleet_loop,
     fig8_fig9_dp,
     matmul_kernels,
     dp_memoization,

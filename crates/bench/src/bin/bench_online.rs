@@ -12,11 +12,10 @@
 //!   branch-free artifact), the quantity the
 //!   paper's Section 6.5 overhead table models on the 93.5 kHz node.
 //!
-//! With `HELIO_BENCH_BASELINE=1` the report is written to
-//! `results/BENCH_online_baseline.json` instead (done once on the
-//! pre-refactor engine); the normal mode reads that file back and
-//! reports the throughput speedup against it. `HELIO_FAST=1` shrinks
-//! repetitions for CI smoke runs.
+//! The throughput speedup is reported against the committed
+//! `results/BENCH_online_baseline.json`, recorded once on the
+//! pre-refactor engine; the binary only reads it. `HELIO_FAST=1`
+//! shrinks repetitions for CI smoke runs.
 
 use std::hint::black_box;
 
@@ -39,7 +38,6 @@ const REPORT_PATH: &str = "results/BENCH_online.json";
 
 fn main() {
     let threads = effective_threads();
-    let baseline_mode = std::env::var("HELIO_BENCH_BASELINE").is_ok_and(|v| v == "1");
     let (loop_reps, decision_reps) = if fast_mode() { (10, 5) } else { (300, 100) };
 
     let node = golden_node();
@@ -172,25 +170,21 @@ fn main() {
     }
 
     // --- Baseline comparison -------------------------------------------
-    let (baseline_slots_per_sec, speedup_vs_baseline) = if baseline_mode {
-        (None, None)
-    } else {
-        match std::fs::read_to_string(BASELINE_PATH)
-            .ok()
-            .and_then(|s| serde_json::from_str::<BenchOnlineReport>(&s).ok())
-        {
-            Some(base) => {
-                let speedup = slots_per_sec_overall / base.slots_per_sec_overall;
-                println!(
-                    "speedup vs baseline ({:.0} slots/s): {speedup:.2}x",
-                    base.slots_per_sec_overall
-                );
-                (Some(base.slots_per_sec_overall), Some(speedup))
-            }
-            None => {
-                println!("no baseline at {BASELINE_PATH}; skipping speedup");
-                (None, None)
-            }
+    let (baseline_slots_per_sec, speedup_vs_baseline) = match std::fs::read_to_string(BASELINE_PATH)
+        .ok()
+        .and_then(|s| serde_json::from_str::<BenchOnlineReport>(&s).ok())
+    {
+        Some(base) => {
+            let speedup = slots_per_sec_overall / base.slots_per_sec_overall;
+            println!(
+                "speedup vs baseline ({:.0} slots/s): {speedup:.2}x",
+                base.slots_per_sec_overall
+            );
+            (Some(base.slots_per_sec_overall), Some(speedup))
+        }
+        None => {
+            println!("no baseline at {BASELINE_PATH}; skipping speedup");
+            (None, None)
         }
     };
 
@@ -202,11 +196,6 @@ fn main() {
         baseline_slots_per_sec,
         speedup_vs_baseline,
     };
-    let path = if baseline_mode {
-        BASELINE_PATH
-    } else {
-        REPORT_PATH
-    };
     println!();
-    helio_bench::write_json(path, &report);
+    helio_bench::write_json(REPORT_PATH, &report);
 }

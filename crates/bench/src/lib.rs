@@ -189,8 +189,9 @@ pub fn par_sweep<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> V
     helio_par::par_map(items, f)
 }
 
-/// Resolves the worker count every bench binary records in its JSON
-/// output: a `--threads N` argument overrides `HELIO_THREADS` (by
+/// Resolves the worker count that `bench_offline`, `bench_online`,
+/// `bench_train` and `bench_faults` record in their JSON output: a
+/// `--threads N` argument overrides `HELIO_THREADS` (by
 /// setting it, so the whole process — `helio-par` included — agrees),
 /// and a conflict between the two is reported on stderr rather than
 /// silently ignored. Call once at binary start-up, before any pool
@@ -351,46 +352,6 @@ pub struct BenchOnlineReport {
     pub speedup_vs_baseline: Option<f64>,
 }
 
-/// One batch size of the `bench_batch` throughput sweep (see
-/// `bench_batch`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchSweepPoint {
-    /// Scenarios advanced in lockstep per batch.
-    pub batch: usize,
-    /// Scenario-periods simulated per mode across all repetitions.
-    pub periods: u64,
-    /// Wall-clock of the sequential mode (one `Engine::run` per
-    /// scenario), milliseconds.
-    pub sequential_wall_ms: f64,
-    /// Wall-clock of the batched mode (one `BatchEngine::run` over all
-    /// scenarios), milliseconds.
-    pub batched_wall_ms: f64,
-    /// Sequential throughput in scenario-periods per second.
-    pub sequential_periods_per_sec: f64,
-    /// Batched throughput in scenario-periods per second.
-    pub batched_periods_per_sec: f64,
-    /// `sequential_wall_ms / batched_wall_ms`.
-    pub speedup: f64,
-}
-
-/// Machine-readable result of the `bench_batch` binary
-/// (`results/BENCH_batch.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchBatchReport {
-    /// Worker threads configured (both modes here are single-threaded;
-    /// this records the environment for comparability).
-    pub threads: usize,
-    /// Grid description (days × periods × slots).
-    pub grid: String,
-    /// Planner backend the sweep batches (`proposed-dbn`).
-    pub backend: String,
-    /// Whether every batched run was byte-identical to its sequential
-    /// counterpart (hard failure if ever false).
-    pub identical: bool,
-    /// One point per batch size, ascending.
-    pub points: Vec<BatchSweepPoint>,
-}
-
 /// One point of the `bench_faults` robustness sweep: a (planner
 /// backend × blackout duration × aging severity) cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -441,76 +402,6 @@ pub struct RobustnessReport {
     pub wall_ms: f64,
     /// The sweep, ordered backend-major.
     pub sweep: Vec<RobustnessPoint>,
-}
-
-/// One (thread count × batch width) cell of the `bench_fleet` sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetSweepPoint {
-    /// Worker threads the sharded run was pinned to.
-    pub threads: usize,
-    /// Scenarios advanced in lockstep per run.
-    pub batch: usize,
-    /// Scenario-periods simulated across all repetitions.
-    pub periods: u64,
-    /// Wall-clock across all repetitions, milliseconds.
-    pub wall_ms: f64,
-    /// Throughput in scenario-periods per second.
-    pub periods_per_sec: f64,
-    /// Throughput in completed scenarios per second.
-    pub scenarios_per_sec: f64,
-    /// `scenarios_per_sec` over the sequential B=16 baseline.
-    pub speedup_vs_sequential: f64,
-}
-
-/// One batch-width cell of the `bench_fleet` distilled decision-path
-/// comparison: the fleet-shared fold table + batched leaf kernel
-/// against the sequential per-scenario distilled path, bit-identical
-/// outputs asserted before timing, both on one core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DistilledSweepPoint {
-    /// Scenarios (kernel lanes) per decision period.
-    pub batch: usize,
-    /// Decisions timed per path across all repetitions.
-    pub decisions: u64,
-    /// Sequential baseline: one private fold table per scenario (what
-    /// `from_distilled` builds), scalar decisions, decisions/second.
-    pub per_scenario_decisions_per_sec: f64,
-    /// Fleet-shared fold table + multi-lane leaf kernel,
-    /// decisions/second.
-    pub shared_batched_decisions_per_sec: f64,
-    /// `shared_batched / per_scenario` — the fold-sharing win.
-    pub speedup: f64,
-}
-
-/// Machine-readable result of the `bench_fleet` binary
-/// (`results/BENCH_fleet.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchFleetReport {
-    /// CPU cores the host exposed (`available_parallelism`).
-    pub host_cores: usize,
-    /// Grid description (days × periods × slots).
-    pub grid: String,
-    /// Planner backend the sweep shards (`proposed-dbn`).
-    pub backend: String,
-    /// Whether every sharded run was byte-identical to the sequential
-    /// engine (hard failure if ever false).
-    pub identical: bool,
-    /// Sequential baseline: one `Engine::run` per scenario over the
-    /// B=16 workload, scenarios per second.
-    pub sequential_scenarios_per_sec: f64,
-    /// Sequential baseline wall-clock, milliseconds.
-    pub sequential_wall_ms: f64,
-    /// Best `scenarios_per_sec / sequential_scenarios_per_sec` over the
-    /// sweep — the headline number.
-    pub best_speedup: f64,
-    /// One point per (threads × batch) cell, threads-major.
-    pub points: Vec<FleetSweepPoint>,
-    /// Whether the batched shared-table distilled decision path
-    /// produced bit-identical outputs to the sequential per-scenario
-    /// path at every batch width (hard failure if ever false).
-    pub distilled_identical: bool,
-    /// Distilled decision-path comparison, one point per batch width.
-    pub distilled: Vec<DistilledSweepPoint>,
 }
 
 /// One check of the `bench_chaos` service-level chaos sweep.

@@ -4,9 +4,10 @@
 //!
 //! The committed files were generated on the pre-refactor engine
 //! (`cargo run -p helio-bench --bin golden_online`), so this test —
-//! which CI runs — pins the refactored engine's behaviour bitwise:
-//! the vendored serde formats `f64` with shortest-round-trip
-//! precision, so byte equality is value equality.
+//! part of the root package, so a plain `cargo test` runs it — pins
+//! the refactored engine's behaviour bitwise: the vendored serde
+//! formats `f64` with shortest-round-trip precision, so byte equality
+//! is value equality.
 
 use std::path::PathBuf;
 
@@ -16,9 +17,7 @@ use helio_bench::golden::{
 };
 
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(GOLDEN_DIR)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_DIR)
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //!
 //! The committed fixture was generated on the pre-refactor trainer
 //! (`cargo run -p helio-bench --bin golden_train`), so this test —
-//! which CI runs — pins `Dbn::train`'s output bitwise across the
-//! scratch-based/SIMD rewrite: the vendored serde formats `f64` with
-//! shortest-round-trip precision, so byte equality of the JSON is
-//! value equality of every weight, bias, and scaler bound.
+//! part of the root package, so a plain `cargo test` runs it — pins
+//! `Dbn::train`'s output bitwise across the scratch-based/SIMD
+//! rewrite: the vendored serde formats `f64` with shortest-round-trip
+//! precision, so byte equality of the JSON is value equality of every
+//! weight, bias, and scaler bound.
 
 use std::path::PathBuf;
 
@@ -21,7 +22,6 @@ use heliosched::OptimalPlanner;
 #[test]
 fn trained_weights_match_committed_golden_bytewise() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
         .join(GOLDEN_TRAIN_DIR)
         .join("dbn_ecg.json");
     let committed = std::fs::read_to_string(&path)
