@@ -396,16 +396,6 @@ impl DistilledPolicy {
         (self.depth_const + self.depth_vary) as usize
     }
 
-    /// Tree levels walked by [`DistilledPolicy::prewalk`].
-    pub fn depth_const_levels(&self) -> usize {
-        self.depth_const as usize
-    }
-
-    /// Tree levels walked by [`DistilledPolicy::predict_folded`].
-    pub fn depth_vary_levels(&self) -> usize {
-        self.depth_vary as usize
-    }
-
     /// Length of the per-period fold buffer written by
     /// [`DistilledPolicy::fold`]: one partial-sum row per leaf under a
     /// prewalk cursor, each `2 * out_dim` wide (the even-indexed and

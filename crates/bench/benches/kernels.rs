@@ -23,8 +23,9 @@
 //! * `fig10a_mpc` — an MPC replan at several horizons
 //! * `fig10b_sizing` — per-day capacitor sizing
 //! * `sec65_dbn` — DBN training and inference (the on-node coarse step)
-//! * `decision_loop` — f64 `predict_into` vs the compiled f32 and int8
-//!   forwards on the golden `[16,10]` network
+//! * `decision_loop` — f64 `predict_into` vs the compiled f32 forward
+//!   (the distilled artifact's fallback tier) on the golden `[16,10]`
+//!   network
 //! * `distill_loop` — the distilled artifact's flat, prewalk + fold and
 //!   folded paths on the golden network; plus, **kernel-only** on the
 //!   `[128,128]` DBN's artifact over a synthetic decision stream, the
@@ -525,9 +526,10 @@ fn sec65_dbn(c: &mut Criterion) {
 }
 
 fn decision_loop(c: &mut Criterion) {
-    // The per-period decision gap this repo's compiled path closes:
-    // reference f64 `predict_into` vs the packed `CompiledDbn` forward
-    // at both tiers, on the golden network shape (13 → 16 → 10 → 10).
+    // The per-period decision cost of the distilled artifact's fallback
+    // tier: reference f64 `predict_into` vs the packed `f32`
+    // `CompiledDbn` forward, on the golden network shape
+    // (13 → 16 → 10 → 10).
     // Tracked per commit alongside slot_loop and batch_loop.
     let inputs: Vec<Vec<f64>> = (0..96)
         .map(|i| {
@@ -554,22 +556,18 @@ fn decision_loop(c: &mut Criterion) {
             out[0]
         })
     });
-    for (name, tier) in [
-        ("compiled_f32", helio_ann::CompiledTier::F32),
-        ("compiled_i8", helio_ann::CompiledTier::Int8),
-    ] {
-        let compiled = helio_ann::CompiledDbn::compile(&dbn, tier).expect("compiles");
-        let mut scratch = compiled.make_scratch();
-        let mut out = Vec::with_capacity(compiled.output_dim());
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                compiled
-                    .forward_into(black_box(&inputs[0]), &mut scratch, &mut out)
-                    .expect("forward");
-                out[0]
-            })
-        });
-    }
+    let compiled =
+        helio_ann::CompiledDbn::compile(&dbn, helio_ann::CompiledTier::F32).expect("compiles");
+    let mut scratch = compiled.make_scratch();
+    let mut out = Vec::with_capacity(compiled.output_dim());
+    group.bench_function("compiled_f32", |b| {
+        b.iter(|| {
+            compiled
+                .forward_into(black_box(&inputs[0]), &mut scratch, &mut out)
+                .expect("forward");
+            out[0]
+        })
+    });
     group.finish();
 }
 

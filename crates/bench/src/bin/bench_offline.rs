@@ -8,7 +8,7 @@
 //! reference path and the cached+parallel path, checks the results are
 //! identical, and reports the speedup.
 //!
-//! Thread count follows `HELIO_THREADS`/`HELIO_SERIAL`; the JSON
+//! Thread count follows `HELIO_THREADS`; the JSON
 //! records what was actually used, so numbers from different machines
 //! stay comparable.
 

@@ -8,9 +8,9 @@
 //!   slots per second. This is the paper's simulation inner loop.
 //! * **Per-period decision cost** — `PeriodPlanner::plan` latency per
 //!   planner (the three fixed patterns, the optimal LUT replay, the
-//!   trained DBN, both compiled-DBN tiers, and the distilled
-//!   branch-free artifact), the quantity the
-//!   paper's Section 6.5 overhead table models on the 93.5 kHz node.
+//!   trained DBN, and the distilled branch-free artifact), the
+//!   quantity the paper's Section 6.5 overhead table models on the
+//!   93.5 kHz node.
 //!
 //! The throughput speedup is reported against the committed
 //! `results/BENCH_online_baseline.json`, recorded once on the
@@ -101,30 +101,6 @@ fn main() {
                 GOLDEN_DELTA,
                 SwitchRule::default(),
             )),
-        ),
-        (
-            "compiled-dbn",
-            Box::new(
-                ProposedPlanner::compile_dbn(
-                    &dbn,
-                    CompiledTier::F32,
-                    GOLDEN_DELTA,
-                    SwitchRule::default(),
-                )
-                .expect("golden DBN compiles"),
-            ),
-        ),
-        (
-            "compiled-dbn-i8",
-            Box::new(
-                ProposedPlanner::compile_dbn(
-                    &dbn,
-                    CompiledTier::Int8,
-                    GOLDEN_DELTA,
-                    SwitchRule::default(),
-                )
-                .expect("golden DBN compiles"),
-            ),
         ),
         (
             "distilled",

@@ -9,18 +9,17 @@
 //! serialises `f64` via shortest-round-trip formatting, so identical
 //! reports produce identical bytes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use helio_ann::{
-    CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy, FoldTable,
-};
+use helio_ann::{CompiledDbn, CompiledTier, Dbn, DbnConfig, DistillConfig, DistilledPolicy};
 use helio_common::time::TimeGrid;
 use helio_common::units::{Farads, Seconds};
+use helio_faults::FaultHarness;
 use helio_solar::{DayArchetype, NoisyOracle, SolarPanel, SolarTrace, TraceBuilder};
-use helio_tasks::benchmarks;
+use helio_tasks::{benchmarks, TaskGraph};
 use heliosched::{
     BatchCheckpoint, BatchEngine, BatchScenario, BatchScratch, DpConfig, Engine, FixedPlanner,
-    NodeConfig, OptimalPlanner, Pattern, ProposedPlanner, SimReport, SwitchRule,
+    NodeConfig, OptimalPlanner, Pattern, PeriodPlanner, ProposedPlanner, SimReport, SwitchRule,
 };
 
 /// Seed of the golden trace (matches the online planner unit tests).
@@ -67,151 +66,171 @@ pub fn golden_dbn(optimal: &OptimalPlanner) -> Dbn {
     Dbn::train_set(optimal.samples(), &cfg).expect("golden DBN trains")
 }
 
-/// Runs the whole golden suite and returns `(case name, report)` pairs
-/// in a fixed order. Case names double as file stems under
+/// How the golden `ecg_dbn` case builds its planner; the other 20
+/// cases never touch a DBN and are the same under every choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GoldenDbn {
+    /// The f64 reference network (`proposed-dbn`): the committed
+    /// goldens.
+    Reference,
+    /// The distilled artifact of the reference network, with the
+    /// network compiled to `f32` as its fallback tier.
+    Distilled,
+    /// [`GoldenDbn::Distilled`] demoted before period 0, so the
+    /// compiled `f32` fallback tier serves every period.
+    DistilledDemoted,
+}
+
+/// How the golden cases are run.
+#[derive(Clone, Copy)]
+pub enum GoldenRun<'r> {
+    /// One [`Engine::run_with_faults`] per case. With `None` or an
+    /// empty harness the reports are byte-identical to [`Engine::run`].
+    Sequential(Option<&'r FaultHarness>),
+    /// One lockstep [`BatchEngine`] per benchmark for the three fixed
+    /// patterns and one for the three planner-driven ECG cases, each
+    /// handed to the runner, which returns the reports in push order.
+    Batch(&'r dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>),
+}
+
+/// The fixed-pattern cases run on every benchmark. ASAP gets the
+/// small capacitor (it hoards no energy), the planned patterns the
+/// large.
+const FIXED_CASES: [(Pattern, usize); 3] =
+    [(Pattern::Asap, 0), (Pattern::Inter, 1), (Pattern::Intra, 1)];
+
+/// Runs the 21-case golden suite and returns `(case name, report)`
+/// pairs in a fixed order: six benchmarks × three fixed patterns, then
+/// the planner-driven paths on ECG (optimal LUT replay, MPC on a
+/// perfect oracle, and the DBN trained from the optimal samples, built
+/// as `dbn` says). Case names double as file stems under
 /// `results/golden_online/`.
+pub fn golden_suite(dbn: GoldenDbn, run: GoldenRun<'_>) -> Vec<(String, SimReport)> {
+    let node = golden_node();
+    let trace = golden_trace();
+    let run_cases = |graph: &TaskGraph, planners: Vec<Box<dyn PeriodPlanner>>| match run {
+        GoldenRun::Sequential(harness) => {
+            let engine = Engine::new(&node, graph, &trace).expect("golden engine");
+            planners
+                .into_iter()
+                .map(|mut p| {
+                    engine
+                        .run_with_faults(p.as_mut(), harness)
+                        .expect("golden run")
+                })
+                .collect::<Vec<_>>()
+        }
+        GoldenRun::Batch(batch) => {
+            let mut engine = BatchEngine::new(&node, graph).expect("golden batch engine");
+            for p in planners {
+                engine
+                    .push(BatchScenario::new(&trace, p))
+                    .expect("golden batch scenario");
+            }
+            batch(engine)
+        }
+    };
+    let mut out = Vec::new();
+
+    for graph in benchmarks::all_six() {
+        let planners = FIXED_CASES
+            .iter()
+            .map(|&(pattern, cap)| {
+                Box::new(FixedPlanner::new(pattern, cap)) as Box<dyn PeriodPlanner>
+            })
+            .collect();
+        for ((pattern, _), report) in FIXED_CASES.iter().zip(run_cases(&graph, planners)) {
+            out.push((format!("{}_{}", graph.name(), pattern), report));
+        }
+    }
+
+    let graph = benchmarks::ecg();
+    let dp = golden_dp();
+    let optimal =
+        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
+    let network = golden_dbn(&optimal);
+    let mpc = ProposedPlanner::mpc(
+        Box::new(NoisyOracle::perfect()),
+        24,
+        dp,
+        GOLDEN_DELTA,
+        SwitchRule::default(),
+    );
+    let dbn_planner = match dbn {
+        GoldenDbn::Reference => {
+            ProposedPlanner::from_dbn(network, GOLDEN_DELTA, SwitchRule::default())
+        }
+        GoldenDbn::Distilled | GoldenDbn::DistilledDemoted => {
+            // Distillation is deterministic and, in a debug build,
+            // costs several times the rest of the suite: distil once
+            // per process.
+            static POLICY: OnceLock<Arc<DistilledPolicy>> = OnceLock::new();
+            let policy =
+                Arc::clone(POLICY.get_or_init(|| Arc::new(golden_distilled_policy(&network))));
+            let compiled =
+                CompiledDbn::compile(&network, CompiledTier::F32).expect("golden DBN compiles");
+            let mut planner = ProposedPlanner::from_distilled(
+                policy,
+                Arc::new(compiled),
+                GOLDEN_DELTA,
+                SwitchRule::default(),
+            );
+            if dbn == GoldenDbn::DistilledDemoted {
+                planner.on_contract_violation();
+            }
+            planner
+        }
+    };
+    let planners: Vec<Box<dyn PeriodPlanner>> =
+        vec![Box::new(optimal), Box::new(mpc), Box::new(dbn_planner)];
+    for (name, report) in ["ecg_optimal", "ecg_mpc", "ecg_dbn"]
+        .into_iter()
+        .zip(run_cases(&graph, planners))
+    {
+        out.push((name.into(), report));
+    }
+    out
+}
+
+/// The committed golden suite: [`golden_suite`] on the f64 reference
+/// network, one sequential run per case.
 pub fn golden_reports() -> Vec<(String, SimReport)> {
-    golden_reports_with(None)
+    golden_suite(GoldenDbn::Reference, GoldenRun::Sequential(None))
 }
 
-/// [`golden_reports`] through [`Engine::run_with_faults`]: with `None`
-/// or an empty harness the reports are byte-identical to the clean
-/// suite (the robustness gate CI relies on).
-pub fn golden_reports_with(
-    harness: Option<&helio_faults::FaultHarness>,
-) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
+/// Batch runner: [`BatchEngine::run_sharded`] with `shards` workers.
+pub fn sharded(shards: usize) -> impl for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport> {
+    move |engine| engine.run_sharded(shards).expect("golden sharded run")
+}
 
-    // Six benchmarks × three fixed patterns. ASAP gets the small
-    // capacitor (it hoards no energy), the planned patterns the large.
-    for graph in benchmarks::all_six() {
-        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-        for (pattern, cap) in [
-            (Pattern::Asap, 0usize),
-            (Pattern::Inter, 1),
-            (Pattern::Intra, 1),
-        ] {
-            let report = engine
-                .run_with_faults(&mut FixedPlanner::new(pattern, cap), harness)
-                .expect("golden fixed run");
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
+/// Batch runner: kills the batch at flat period `kill`, JSON-round-trips
+/// its checkpoint (exactly what the fleet service's on-disk resume
+/// does) and finishes it with `shards` scratches.
+pub fn killed_and_resumed(
+    kill: usize,
+    shards: usize,
+) -> impl for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport> {
+    move |mut engine| {
+        let ckpt = engine.run_until(kill).expect("golden checkpoint");
+        let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
+        let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
+        let mut scratches: Vec<BatchScratch> = Vec::new();
+        scratches.resize_with(shards, BatchScratch::default);
+        engine
+            .run_from_checkpoint_sharded_with(&ckpt, &mut scratches)
+            .expect("golden checkpoint resume")
     }
-
-    // Planner-driven paths on ECG: optimal LUT replay, MPC on a perfect
-    // oracle, and the DBN trained from the optimal samples.
-    let graph = benchmarks::ecg();
-    let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-    let dp = golden_dp();
-    let mut optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    out.push((
-        "ecg_optimal".into(),
-        engine
-            .run_with_faults(&mut optimal, harness)
-            .expect("golden optimal run"),
-    ));
-    let mut mpc = ProposedPlanner::mpc(
-        Box::new(NoisyOracle::perfect()),
-        24,
-        dp,
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_mpc".into(),
-        engine
-            .run_with_faults(&mut mpc, harness)
-            .expect("golden mpc run"),
-    ));
-    let mut dbn_planner = ProposedPlanner::from_dbn(dbn, GOLDEN_DELTA, SwitchRule::default());
-    out.push((
-        "ecg_dbn".into(),
-        engine
-            .run_with_faults(&mut dbn_planner, harness)
-            .expect("golden dbn run"),
-    ));
-    out
 }
 
-/// Per-scenario DMR epsilon of the compiled-planner regression gate:
-/// every case replayed through [`golden_compiled_reports`] must land
-/// within this of the f64 reference suite's DMR. The compiled path is
-/// tolerance-gated, not bit-identical — see `helio_ann::compiled` for
-/// the contract; `tests/golden_compiled.rs` enforces this bound on all
-/// 21 scenarios for both tiers.
-pub const GOLDEN_COMPILED_DMR_EPS: f64 = 0.01;
-
-/// The 21 golden cases with the DBN case running the compiled planner
-/// at `tier` instead of the f64 reference: 20 cases are untouched by
-/// compilation (fixed patterns, optimal, MPC) and anchor the harness;
-/// `ecg_dbn` becomes `compiled-dbn`/`compiled-dbn-i8`. The DMR-bound
-/// harness compares these against [`golden_reports`] per scenario.
-pub fn golden_compiled_reports(tier: CompiledTier) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-
-    for graph in benchmarks::all_six() {
-        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-        for (pattern, cap) in [
-            (Pattern::Asap, 0usize),
-            (Pattern::Inter, 1),
-            (Pattern::Intra, 1),
-        ] {
-            let report = engine
-                .run(&mut FixedPlanner::new(pattern, cap))
-                .expect("golden fixed run");
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
-
-    let graph = benchmarks::ecg();
-    let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-    let dp = golden_dp();
-    let mut optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    out.push((
-        "ecg_optimal".into(),
-        engine.run(&mut optimal).expect("golden optimal run"),
-    ));
-    let mut mpc = ProposedPlanner::mpc(
-        Box::new(NoisyOracle::perfect()),
-        24,
-        dp,
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_mpc".into(),
-        engine.run(&mut mpc).expect("golden mpc run"),
-    ));
-    let compiled = CompiledDbn::compile(&dbn, tier).expect("golden DBN compiles");
-    let mut compiled_planner = ProposedPlanner::from_compiled_dbn(
-        std::sync::Arc::new(compiled),
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_dbn".into(),
-        engine
-            .run(&mut compiled_planner)
-            .expect("golden compiled run"),
-    ));
-    out
-}
-
-/// Per-scenario DMR epsilon of the distilled-artifact regression gate:
-/// every case replayed through [`golden_distilled_reports`] must land
-/// within this of the f64 reference suite's DMR. The artifact is
-/// agreement-gated against its teacher, not bit-identical —
-/// `tests/golden_distilled.rs` enforces this bound on all 21
-/// scenarios.
-pub const GOLDEN_DISTILLED_DMR_EPS: f64 = 0.01;
+/// Per-scenario DMR epsilon of the distilled regression gate: every
+/// case of a [`GoldenDbn::Distilled`] or [`GoldenDbn::DistilledDemoted`]
+/// suite must land within this of the reference suite's DMR. Neither
+/// path is bit-identical to the f64 network — the artifact is
+/// agreement-gated against its teacher and the compiled fallback is
+/// covered by the `helio_ann::compiled` tolerance contract — so the
+/// gate bounds what their deviations do to the metric the paper
+/// reports, the deadline miss rate.
+pub const GOLDEN_DMR_EPS: f64 = 0.01;
 
 /// Distillation hyper-parameters of the golden artifact.
 pub fn golden_distill_config() -> DistillConfig {
@@ -280,272 +299,6 @@ pub fn golden_distilled_policy(dbn: &Dbn) -> DistilledPolicy {
     let samples = golden_distill_samples(dbn);
     DistilledPolicy::distill(dbn, spp, &samples, &golden_distill_config())
         .expect("golden DBN distils")
-}
-
-/// The 21 golden cases with the DBN case running the distilled
-/// artifact (compiled `f32` as its fallback tier): 20 cases are
-/// untouched by distillation and anchor the harness; `ecg_dbn` becomes
-/// `distilled`. The DMR-bound harness compares these against
-/// [`golden_reports`] per scenario.
-pub fn golden_distilled_reports() -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-
-    for graph in benchmarks::all_six() {
-        let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-        for (pattern, cap) in [
-            (Pattern::Asap, 0usize),
-            (Pattern::Inter, 1),
-            (Pattern::Intra, 1),
-        ] {
-            let report = engine
-                .run(&mut FixedPlanner::new(pattern, cap))
-                .expect("golden fixed run");
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
-
-    let graph = benchmarks::ecg();
-    let engine = Engine::new(&node, &graph, &trace).expect("golden engine");
-    let dp = golden_dp();
-    let mut optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    out.push((
-        "ecg_optimal".into(),
-        engine.run(&mut optimal).expect("golden optimal run"),
-    ));
-    let mut mpc = ProposedPlanner::mpc(
-        Box::new(NoisyOracle::perfect()),
-        24,
-        dp,
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_mpc".into(),
-        engine.run(&mut mpc).expect("golden mpc run"),
-    ));
-    let policy = golden_distilled_policy(&dbn);
-    let compiled = CompiledDbn::compile(&dbn, CompiledTier::F32).expect("golden DBN compiles");
-    let mut distilled_planner = ProposedPlanner::from_distilled(
-        std::sync::Arc::new(policy),
-        std::sync::Arc::new(compiled),
-        GOLDEN_DELTA,
-        SwitchRule::default(),
-    );
-    out.push((
-        "ecg_dbn".into(),
-        engine
-            .run(&mut distilled_planner)
-            .expect("golden distilled run"),
-    ));
-    out
-}
-
-/// The same 21 cases as [`golden_reports`], in the same order, built
-/// through [`BatchEngine`] instead of per-scenario [`Engine`] runs:
-/// one lockstep batch per benchmark for the three fixed patterns, one
-/// batch for the three planner-driven ECG cases. The batched engine's
-/// byte-identity contract means these reports must render to exactly
-/// the committed golden files (CI-gated by `tests/golden_online.rs`).
-pub fn golden_batch_reports() -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&|engine| engine.run().expect("golden batch run"))
-}
-
-/// The same 21 cases as [`golden_batch_reports`] through
-/// [`BatchEngine::run_sharded`] with `shards` workers: the sharded
-/// engine's byte-identity contract means these reports must also
-/// render to exactly the committed golden files, for every shard
-/// count (CI-gated by `tests/golden_online.rs`).
-pub fn golden_sharded_reports(shards: usize) -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&move |engine| engine.run_sharded(shards).expect("golden sharded run"))
-}
-
-/// The same 21 cases as [`golden_batch_reports`], each batch killed at
-/// flat period `kill`, its checkpoint JSON-round-tripped (exactly what
-/// the fleet service's on-disk resume does) and finished with `shards`
-/// scratches. The checkpoint contract — interrupt anywhere, resume
-/// byte-identically — means these reports must render to exactly the
-/// committed golden files (CI-gated by `tests/golden_online.rs`).
-pub fn golden_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
-    golden_batch_reports_via(&move |mut engine| {
-        let ckpt = engine.run_until(kill).expect("golden checkpoint");
-        let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
-        let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
-        let mut scratches: Vec<BatchScratch> = Vec::new();
-        scratches.resize_with(shards, BatchScratch::default);
-        engine
-            .run_from_checkpoint_sharded_with(&ckpt, &mut scratches)
-            .expect("golden checkpoint resume")
-    })
-}
-
-/// The 18 fixed-pattern cases (six benchmarks × three patterns) built
-/// as one lockstep batch per benchmark, appended to `out` in golden
-/// order.
-fn golden_fixed_batches_into(
-    node: &NodeConfig,
-    trace: &SolarTrace,
-    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
-    out: &mut Vec<(String, SimReport)>,
-) {
-    let patterns = [
-        (Pattern::Asap, 0usize),
-        (Pattern::Inter, 1),
-        (Pattern::Intra, 1),
-    ];
-    for graph in benchmarks::all_six() {
-        let mut engine = BatchEngine::new(node, &graph).expect("golden batch engine");
-        for (pattern, cap) in patterns {
-            engine
-                .push(BatchScenario::new(
-                    trace,
-                    Box::new(FixedPlanner::new(pattern, cap)),
-                ))
-                .expect("golden batch scenario");
-        }
-        let reports = run(engine);
-        for ((pattern, _), report) in patterns.iter().zip(reports) {
-            out.push((format!("{}_{}", graph.name(), pattern), report));
-        }
-    }
-}
-
-fn golden_batch_reports_via(
-    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
-) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-    golden_fixed_batches_into(&node, &trace, run, &mut out);
-
-    let graph = benchmarks::ecg();
-    let dp = golden_dp();
-    let optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    let mut engine = BatchEngine::new(&node, &graph).expect("golden batch engine");
-    engine
-        .push(BatchScenario::new(&trace, Box::new(optimal)))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(ProposedPlanner::mpc(
-                Box::new(NoisyOracle::perfect()),
-                24,
-                dp,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(ProposedPlanner::from_dbn(
-                dbn,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    let mut reports = run(engine).into_iter();
-    for name in ["ecg_optimal", "ecg_mpc", "ecg_dbn"] {
-        out.push((name.into(), reports.next().expect("three reports")));
-    }
-    out
-}
-
-/// The same 21 cases as [`golden_distilled_reports`], in the same
-/// order, built through [`BatchEngine::run_sharded`] with `shards`
-/// workers — the `ecg_dbn` case runs the *batched* distilled decision
-/// path: its per-period fold entries live in a shared [`FoldTable`]
-/// and its leaf evaluation goes through the multi-lane kernel. The
-/// batched kernel's bit-identity contract means these reports must
-/// match the sequential [`golden_distilled_reports`] byte for byte at
-/// every shard count (CI-gated by `tests/golden_distilled.rs`).
-pub fn golden_distilled_batch_reports(shards: usize) -> Vec<(String, SimReport)> {
-    golden_distilled_batch_via(&move |engine| {
-        engine
-            .run_sharded(shards)
-            .expect("golden distilled sharded run")
-    })
-}
-
-/// [`golden_distilled_batch_reports`] killed at flat period `kill`,
-/// the checkpoint JSON-round-tripped and resumed with `shards`
-/// scratches — the resumed batch reads the same live fold table the
-/// interrupted run warmed (the checkpoint carries the key, never the
-/// table), and must still match [`golden_distilled_reports`] byte for
-/// byte.
-pub fn golden_distilled_checkpoint_reports(kill: usize, shards: usize) -> Vec<(String, SimReport)> {
-    golden_distilled_batch_via(&move |mut engine| {
-        let ckpt = engine.run_until(kill).expect("golden distilled checkpoint");
-        let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
-        let ckpt: BatchCheckpoint = serde_json::from_str(&json).expect("checkpoint round-trips");
-        let mut scratches: Vec<BatchScratch> = Vec::new();
-        scratches.resize_with(shards, BatchScratch::default);
-        engine
-            .run_from_checkpoint_sharded_with(&ckpt, &mut scratches)
-            .expect("golden distilled checkpoint resume")
-    })
-}
-
-fn golden_distilled_batch_via(
-    run: &dyn for<'a> Fn(BatchEngine<'a>) -> Vec<SimReport>,
-) -> Vec<(String, SimReport)> {
-    let node = golden_node();
-    let trace = golden_trace();
-    let mut out = Vec::new();
-    golden_fixed_batches_into(&node, &trace, run, &mut out);
-
-    let graph = benchmarks::ecg();
-    let dp = golden_dp();
-    let optimal =
-        OptimalPlanner::compute(&node, &graph, &trace, &dp, GOLDEN_DELTA).expect("golden optimal");
-    let dbn = golden_dbn(&optimal);
-    let policy = Arc::new(golden_distilled_policy(&dbn));
-    let compiled =
-        Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).expect("golden DBN compiles"));
-    let table = Arc::new(FoldTable::new(
-        Arc::clone(&policy),
-        FoldTable::DEFAULT_CAPACITY,
-    ));
-    let mut engine = BatchEngine::new(&node, &graph).expect("golden batch engine");
-    engine
-        .push(BatchScenario::new(&trace, Box::new(optimal)))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(ProposedPlanner::mpc(
-                Box::new(NoisyOracle::perfect()),
-                24,
-                dp,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    engine
-        .push(BatchScenario::new(
-            &trace,
-            Box::new(ProposedPlanner::from_distilled_with_table(
-                table,
-                compiled,
-                GOLDEN_DELTA,
-                SwitchRule::default(),
-            )),
-        ))
-        .expect("golden batch scenario");
-    let mut reports = run(engine).into_iter();
-    for name in ["ecg_optimal", "ecg_mpc", "ecg_dbn"] {
-        out.push((name.into(), reports.next().expect("three reports")));
-    }
-    out
 }
 
 /// Canonical byte rendering of a golden report — the generator writes

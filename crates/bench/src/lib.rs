@@ -28,8 +28,8 @@ use helio_common::units::{Farads, Seconds};
 use helio_solar::{DayArchetype, SolarPanel, SolarTrace, TraceBuilder, WeatherProcess};
 use helio_tasks::TaskGraph;
 use heliosched::{
-    size_capacitors, BatchEngine, BatchScenario, CoreError, DpConfig, Engine, FixedPlanner,
-    NodeConfig, OfflineConfig, OptimalPlanner, Pattern, PeriodPlanner, SimReport,
+    size_capacitors, BatchEngine, BatchScenario, CoreError, DpConfig, NodeConfig, OfflineConfig,
+    PeriodPlanner, SimReport,
 };
 use serde::{Deserialize, Serialize};
 
@@ -155,36 +155,9 @@ pub fn run_planner_batch<'a>(
     engine.run_parallel()
 }
 
-/// Runs the two baselines (the proposed/optimal runs are
-/// experiment-specific and supplied by the caller) as one batch; the
-/// returned order is `(inter, intra)`.
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn run_baselines(
-    node: &NodeConfig,
-    graph: &TaskGraph,
-    trace: &SolarTrace,
-    baseline_cap: usize,
-) -> Result<(SimReport, SimReport), CoreError> {
-    let mut reports = run_planner_batch(
-        node,
-        graph,
-        trace,
-        vec![
-            Box::new(FixedPlanner::new(Pattern::Inter, baseline_cap)),
-            Box::new(FixedPlanner::new(Pattern::Intra, baseline_cap)),
-        ],
-    )?;
-    let intra = reports.pop().expect("two runs");
-    let inter = reports.pop().expect("two runs");
-    Ok((inter, intra))
-}
-
 /// Maps `f` over `items` on the worker pool, preserving input order in
 /// the output — the sweep primitive of the experiment binaries. Honours
-/// `HELIO_THREADS`/`HELIO_SERIAL`.
+/// `HELIO_THREADS`.
 pub fn par_sweep<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     helio_par::par_map(items, f)
 }
@@ -255,7 +228,7 @@ pub struct BenchStage {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchOfflineReport {
     /// Worker threads the parallel stages used
-    /// (`HELIO_THREADS`/`HELIO_SERIAL` aware).
+    /// (`HELIO_THREADS` aware).
     pub threads: usize,
     /// Wall-clock per pipeline stage, in execution order.
     pub stages: Vec<BenchStage>,
@@ -388,7 +361,7 @@ pub struct RobustnessPoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessReport {
     /// Worker threads the sharded batch runs used
-    /// (`--threads`/`HELIO_THREADS`/`HELIO_SERIAL` aware).
+    /// (`--threads`/`HELIO_THREADS` aware).
     pub threads: usize,
     /// Grid description (days × periods × slots).
     pub grid: String,
@@ -442,22 +415,6 @@ pub struct FleetChaosReport {
     pub checks: Vec<ChaosCheck>,
     /// Whether every check passed (the binary exits nonzero otherwise).
     pub all_passed: bool,
-}
-
-/// Convenience: run the static optimal planner.
-///
-/// # Errors
-///
-/// Propagates planning/engine failures.
-pub fn run_optimal(
-    node: &NodeConfig,
-    graph: &TaskGraph,
-    trace: &SolarTrace,
-    dp: &heliosched::DpConfig,
-    delta: f64,
-) -> Result<SimReport, CoreError> {
-    let mut planner = OptimalPlanner::compute(node, graph, trace, dp, delta)?;
-    Engine::new(node, graph, trace)?.run(&mut planner)
 }
 
 /// Formats a fraction as a percentage with one decimal.

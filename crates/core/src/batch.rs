@@ -19,9 +19,9 @@
 //! group (a batched forward, or fold-table lookups plus one batched
 //! leaf-kernel call), and hands each scenario its output row. Scenarios
 //! whose planner declines the batch slot — MPC backends, fixed
-//! baselines, compiled backends, demoted
-//! [`ResilientPlanner`](crate::resilient::ResilientPlanner)s, periods
-//! with an injected `Unavailable` fault — fall back to a plain
+//! baselines, distilled artifacts demoted to their compiled fallback,
+//! demoted [`ResilientPlanner`](crate::resilient::ResilientPlanner)s,
+//! periods with an injected `Unavailable` fault — fall back to a plain
 //! [`PeriodPlanner::plan`] call for that period.
 //!
 //! Correctness is absolute: because each batched kernel is bitwise
@@ -715,7 +715,7 @@ impl<'a> BatchEngine<'a> {
     }
 
     /// [`BatchEngine::run_sharded`] across every configured worker
-    /// (`HELIO_THREADS` / `HELIO_SERIAL`, else available parallelism).
+    /// (`HELIO_THREADS`, else available parallelism).
     ///
     /// # Errors
     ///
@@ -943,58 +943,6 @@ mod tests {
                 serde_json::to_string(b).unwrap(),
                 serde_json::to_string(s).unwrap(),
                 "scenario {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_compiled_planners_match_sequential() {
-        // Compiled backends decline batch slots, so the engine routes
-        // them through the per-scenario fallback — batched output must
-        // stay byte-identical to sequential runs, resilient wrap
-        // included.
-        use helio_ann::{CompiledDbn, CompiledTier};
-        let node = node();
-        let g = benchmarks::ecg();
-        let dbn = tiny_dbn(&g);
-        let compiled = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).unwrap());
-        let compiled_i8 = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::Int8).unwrap());
-        let traces: Vec<SolarTrace> = (0..3).map(|s| trace(23 + s)).collect();
-        let make = |i: usize| -> Box<dyn PeriodPlanner> {
-            match i {
-                0 => Box::new(ProposedPlanner::from_compiled_dbn(
-                    Arc::clone(&compiled),
-                    0.5,
-                    SwitchRule::default(),
-                )),
-                1 => Box::new(ResilientPlanner::new(Box::new(
-                    ProposedPlanner::from_compiled_dbn(
-                        Arc::clone(&compiled),
-                        0.5,
-                        SwitchRule::default(),
-                    ),
-                ))),
-                _ => Box::new(ProposedPlanner::from_compiled_dbn(
-                    Arc::clone(&compiled_i8),
-                    0.5,
-                    SwitchRule::default(),
-                )),
-            }
-        };
-
-        let mut engine = BatchEngine::new(&node, &g).unwrap();
-        for (i, t) in traces.iter().enumerate() {
-            engine.push(BatchScenario::new(t, make(i))).unwrap();
-        }
-        let batched = engine.run().unwrap();
-
-        for (i, (t, b)) in traces.iter().zip(&batched).enumerate() {
-            let mut p = make(i);
-            let s = Engine::new(&node, &g, t).unwrap().run(p.as_mut()).unwrap();
-            assert_eq!(
-                serde_json::to_string(b).unwrap(),
-                serde_json::to_string(&s).unwrap(),
-                "compiled scenario {i} diverged"
             );
         }
     }

@@ -131,7 +131,7 @@ pub enum PlannerCheckpoint {
     /// The planner carries no cross-period state.
     Stateless,
     /// A [`ProposedPlanner`](crate::online::ProposedPlanner) (DBN,
-    /// compiled DBN, or MPC backend).
+    /// distilled, or MPC backend).
     Proposed(ProposedCheckpoint),
     /// A [`ResilientPlanner`](crate::resilient::ResilientPlanner)
     /// wrapper (recursively carries its inner planner's state).

@@ -1,24 +1,29 @@
 //! The proposed online planner (paper Section 5).
 //!
-//! Two interchangeable backends produce the coarse per-period decision:
+//! Three interchangeable backends produce the coarse per-period
+//! decision:
 //!
 //! * **DBN** — the paper's headline design: the deep belief network
 //!   trained offline on optimal samples maps (previous-period solar,
 //!   capacitor voltages, accumulated DMR) to (capacitor, α, task
 //!   bits). Inference costs microjoules on the node.
+//! * **Distilled** — the same decision served by a branch-free
+//!   linear-model tree distilled from the DBN. It sits on a tier
+//!   chain: distilled → the DBN compiled to packed `f32`
+//!   ([`CompiledDbn`]) whenever the artifact is unavailable or breaks
+//!   its contract → the resilient wrapper's inter-task baseline.
 //! * **MPC** — a model-predictive variant that reruns the long-term DP
 //!   each day on *forecast* solar over a configurable horizon. It is
 //!   the knob behind the prediction-length experiment (Fig. 10a).
 //!
-//! Both backends pass through the Eq. 22 capacitor-switch rule (don't
-//! abandon a charged capacitor) and the `δ` pattern-selection
+//! Every backend passes through the Eq. 22 capacitor-switch rule
+//! (don't abandon a charged capacitor) and the `δ` pattern-selection
 //! threshold of Section 5.2.
 
 use std::sync::Arc;
 
 use helio_ann::{
-    AnnError, CompiledDbn, CompiledScratch, CompiledTier, Dbn, DistilledPolicy, FoldTable,
-    PredictScratch,
+    AnnError, CompiledDbn, CompiledScratch, Dbn, DistilledPolicy, FoldTable, PredictScratch,
 };
 use helio_common::units::Joules;
 use helio_common::TaskSet;
@@ -78,16 +83,6 @@ enum Backend {
         dbn: Arc<Dbn>,
         /// Inference scratch + output buffer, reused across periods.
         scratch: PredictScratch,
-        out_buf: Vec<f64>,
-    },
-    Compiled {
-        /// The compiled artifact (packed f32/int8 weights with the
-        /// scaler affine baked in), behind an `Arc` so a fleet can
-        /// compile once per trained network and share it.
-        compiled: Arc<CompiledDbn>,
-        /// Ping-pong activation scratch + output buffer, reused
-        /// across periods.
-        scratch: CompiledScratch,
         out_buf: Vec<f64>,
     },
     Distilled {
@@ -233,48 +228,6 @@ impl ProposedPlanner {
         }
     }
 
-    /// [`ProposedPlanner::from_shared_dbn`] on an already-compiled
-    /// network: the hot path runs the packed single-sample forward
-    /// instead of the f64 reference. Decisions are covered by the
-    /// compiled tolerance contract (see `helio_ann::compiled`), not
-    /// bit-identity with the `proposed-dbn` planner.
-    pub fn from_compiled_dbn(compiled: Arc<CompiledDbn>, delta: f64, switch: SwitchRule) -> Self {
-        Self {
-            backend: Backend::Compiled {
-                scratch: compiled.make_scratch(),
-                out_buf: Vec::with_capacity(compiled.output_dim()),
-                compiled,
-            },
-            switch,
-            delta,
-            complexity: 0,
-            input_buf: Vec::new(),
-            injected: None,
-            health: PlannerHealth::Healthy,
-            ctx: None,
-            decide_cache: None,
-        }
-    }
-
-    /// Compiles `dbn` at `tier` and builds the planner around the
-    /// artifact in one step (the sequential-engine convenience;
-    /// batches and fleets should compile once and use
-    /// [`ProposedPlanner::from_compiled_dbn`] to share the `Arc`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the compile error when the network holds non-finite
-    /// weights.
-    pub fn compile_dbn(
-        dbn: &Dbn,
-        tier: CompiledTier,
-        delta: f64,
-        switch: SwitchRule,
-    ) -> Result<Self, helio_ann::AnnError> {
-        let compiled = Arc::new(CompiledDbn::compile(dbn, tier)?);
-        Ok(Self::from_compiled_dbn(compiled, delta, switch))
-    }
-
     /// Builds the planner around a distilled decision artifact with a
     /// compiled network as the next tier down: the artifact serves the
     /// per-decision hot path; the compiled forward takes over when the
@@ -388,7 +341,7 @@ impl ProposedPlanner {
                     solar_buf,
                     subsets,
                 ),
-                Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
+                Backend::Dbn { .. } | Backend::Distilled { .. } => {
                     unreachable!("plan_mpc called on DBN backend")
                 }
             };
@@ -550,9 +503,8 @@ impl ProposedPlanner {
         if self.injected == Some(DbnFaultMode::Nan) {
             // Bit-flipped weights / numerical blow-up: the inference
             // completes but every output is garbage.
-            if let Backend::Dbn { out_buf, .. }
-            | Backend::Compiled { out_buf, .. }
-            | Backend::Distilled { out_buf, .. } = &mut self.backend
+            if let Backend::Dbn { out_buf, .. } | Backend::Distilled { out_buf, .. } =
+                &mut self.backend
             {
                 out_buf.iter_mut().for_each(|o| *o = f64::NAN);
             }
@@ -566,9 +518,7 @@ impl ProposedPlanner {
         let cache = self.decide_cache.as_ref().expect("just built");
         let heads = {
             let out: &[f64] = match &self.backend {
-                Backend::Dbn { out_buf, .. }
-                | Backend::Compiled { out_buf, .. }
-                | Backend::Distilled { out_buf, .. } => out_buf,
+                Backend::Dbn { out_buf, .. } | Backend::Distilled { out_buf, .. } => out_buf,
                 Backend::Mpc { .. } => unreachable!("decide_dbn called on MPC backend"),
             };
             let head_cap = out.first().copied().unwrap_or(f64::NAN);
@@ -637,11 +587,6 @@ impl ProposedPlanner {
                 scratch,
                 out_buf,
             } => dbn.predict_into(input, scratch, out_buf).is_err(),
-            Backend::Compiled {
-                compiled,
-                scratch,
-                out_buf,
-            } => compiled.forward_into(input, scratch, out_buf).is_err(),
             Backend::Distilled {
                 policy,
                 fallback,
@@ -717,10 +662,6 @@ impl PeriodPlanner for ProposedPlanner {
     fn name(&self) -> &'static str {
         match &self.backend {
             Backend::Dbn { .. } => "proposed-dbn",
-            Backend::Compiled { compiled, .. } => match compiled.tier() {
-                CompiledTier::F32 => "compiled-dbn",
-                CompiledTier::Int8 => "compiled-dbn-i8",
-            },
             Backend::Distilled { .. } => "distilled",
             Backend::Mpc { .. } => "proposed-mpc",
         }
@@ -744,9 +685,7 @@ impl PeriodPlanner for ProposedPlanner {
                     (cap, plan.alpha, plan.subset)
                 }
             }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
-                self.plan_dbn(obs)
-            }
+            Backend::Dbn { .. } | Backend::Distilled { .. } => self.plan_dbn(obs),
         };
         PlanDecision {
             capacitor: self.switch.decide(obs, suggested_cap),
@@ -784,7 +723,7 @@ impl PeriodPlanner for ProposedPlanner {
             Backend::Distilled { tier_fallbacks, .. } => {
                 usize::try_from(*tier_fallbacks).unwrap_or(usize::MAX)
             }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => 0,
+            Backend::Dbn { .. } | Backend::Mpc { .. } => 0,
         }
     }
 
@@ -800,10 +739,9 @@ impl PeriodPlanner for ProposedPlanner {
                 base_flat: c.base_flat,
                 plans: c.plans.clone(),
             }),
-            Backend::Mpc { cache: None, .. }
-            | Backend::Dbn { .. }
-            | Backend::Compiled { .. }
-            | Backend::Distilled { .. } => None,
+            Backend::Mpc { cache: None, .. } | Backend::Dbn { .. } | Backend::Distilled { .. } => {
+                None
+            }
         };
         let distilled = match &self.backend {
             Backend::Distilled {
@@ -814,7 +752,7 @@ impl PeriodPlanner for ProposedPlanner {
                 demoted: *demoted,
                 tier_fallbacks: *tier_fallbacks,
             }),
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => None,
+            Backend::Dbn { .. } | Backend::Mpc { .. } => None,
         };
         PlannerCheckpoint::Proposed(ProposedCheckpoint {
             complexity: self.complexity,
@@ -844,7 +782,7 @@ impl PeriodPlanner for ProposedPlanner {
                     plans: m.plans.clone(),
                 });
             }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Distilled { .. } => {
+            Backend::Dbn { .. } | Backend::Distilled { .. } => {
                 if c.mpc.is_some() {
                     return Err(format!(
                         "planner `{}` has no MPC cache but the checkpoint carries one",
@@ -874,7 +812,7 @@ impl PeriodPlanner for ProposedPlanner {
                 // live shared table, which is bit-identical either
                 // way.
             }
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => {
+            Backend::Dbn { .. } | Backend::Mpc { .. } => {
                 if c.distilled.is_some() {
                     return Err(format!(
                         "planner `{}` has no distilled tier but the checkpoint carries one",
@@ -887,10 +825,6 @@ impl PeriodPlanner for ProposedPlanner {
     }
 
     fn batch_input(&mut self, obs: &PlannerObservation<'_>, input: &mut Vec<f64>) -> bool {
-        // Compiled backends decline batch slots by design: their
-        // single-sample forward is the fast path, so the batch engine
-        // routes them through the per-scenario `plan()` fallback and
-        // batched stays identical to sequential for compiled runs.
         let Backend::Dbn { dbn, .. } = &self.backend else {
             return false;
         };
@@ -901,7 +835,7 @@ impl PeriodPlanner for ProposedPlanner {
     fn batch_dbn(&self) -> Option<Arc<Dbn>> {
         match &self.backend {
             Backend::Dbn { dbn, .. } => Some(Arc::clone(dbn)),
-            Backend::Compiled { .. } | Backend::Distilled { .. } | Backend::Mpc { .. } => None,
+            Backend::Distilled { .. } | Backend::Mpc { .. } => None,
         }
     }
 
@@ -928,14 +862,12 @@ impl PeriodPlanner for ProposedPlanner {
     fn batch_distilled(&self) -> Option<Arc<FoldTable>> {
         match &self.backend {
             Backend::Distilled { table, .. } => Some(Arc::clone(table)),
-            Backend::Dbn { .. } | Backend::Compiled { .. } | Backend::Mpc { .. } => None,
+            Backend::Dbn { .. } | Backend::Mpc { .. } => None,
         }
     }
 
     fn plan_with_output(&mut self, obs: &PlannerObservation<'_>, out: &[f64]) -> PlanDecision {
-        if let Backend::Dbn { out_buf, .. }
-        | Backend::Compiled { out_buf, .. }
-        | Backend::Distilled { out_buf, .. } = &mut self.backend
+        if let Backend::Dbn { out_buf, .. } | Backend::Distilled { out_buf, .. } = &mut self.backend
         {
             out_buf.clear();
             out_buf.extend_from_slice(out);
@@ -1183,73 +1115,6 @@ mod tests {
         helio_ann::Dbn::train(&inputs, &targets, &helio_ann::DbnConfig::small(2)).unwrap()
     }
 
-    #[test]
-    fn compiled_backend_tracks_reference_dmr() {
-        // Both compiled tiers must land within the tolerance-contract
-        // neighbourhood of the f64 reference planner on a full run.
-        let node = node(1);
-        let t = trace(1);
-        let g = benchmarks::ecg();
-        let dbn = trained_dbn(&g);
-        let engine = Engine::new(&node, &g, &t).unwrap();
-        let reference = engine
-            .run(&mut ProposedPlanner::from_shared_dbn(
-                Arc::new(dbn.clone()),
-                0.5,
-                SwitchRule::default(),
-            ))
-            .unwrap();
-        for (tier, name) in [
-            (CompiledTier::F32, "compiled-dbn"),
-            (CompiledTier::Int8, "compiled-dbn-i8"),
-        ] {
-            let mut planner =
-                ProposedPlanner::compile_dbn(&dbn, tier, 0.5, SwitchRule::default()).unwrap();
-            let report = engine.run(&mut planner).unwrap();
-            assert_eq!(report.planner, name);
-            assert!(
-                (report.overall_dmr() - reference.overall_dmr()).abs() < 0.05,
-                "{name}: compiled DMR {} vs reference {}",
-                report.overall_dmr(),
-                reference.overall_dmr()
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_backend_faults_degrade_conservatively() {
-        let node = node(1);
-        let t = trace(1);
-        let g = benchmarks::ecg();
-        let dbn = trained_dbn(&g);
-        let mut planner =
-            ProposedPlanner::compile_dbn(&dbn, CompiledTier::F32, 0.5, SwitchRule::default())
-                .unwrap();
-        let storage = &node.storage;
-        let bank = helio_storage::CapacitorBank::new(&node.capacitors, storage).unwrap();
-        let obs = PlannerObservation {
-            grid: &node.grid,
-            period: helio_common::time::PeriodRef::new(0, 0),
-            graph: &g,
-            trace: &t,
-            bank: &bank,
-            accumulated_dmr: 0.0,
-            storage,
-            pmu: &node.pmu,
-        };
-        planner.inject_fault(Some(DbnFaultMode::Unavailable));
-        let d = planner.plan(&obs);
-        assert_eq!(planner.health(), PlannerHealth::DbnUnavailable);
-        assert_eq!(d.allowed, Some(g.all_tasks()));
-        planner.inject_fault(Some(DbnFaultMode::Nan));
-        let d = planner.plan(&obs);
-        assert_eq!(planner.health(), PlannerHealth::NonFinite);
-        assert_eq!(d.allowed, Some(g.all_tasks()));
-        planner.inject_fault(None);
-        let _ = planner.plan(&obs);
-        assert_eq!(planner.health(), PlannerHealth::Healthy);
-    }
-
     /// A teacher/student/fallback triple over the synthetic training
     /// set, with a tree small enough for debug-mode test runs.
     fn distilled_pair(
@@ -1260,7 +1125,7 @@ mod tests {
         helio_ann::Dbn,
     ) {
         let dbn = trained_dbn(g);
-        let compiled = Arc::new(CompiledDbn::compile(&dbn, CompiledTier::F32).unwrap());
+        let compiled = Arc::new(CompiledDbn::compile(&dbn, helio_ann::CompiledTier::F32).unwrap());
         let cfg = helio_ann::DistillConfig {
             depth_const: 3,
             depth_vary: 3,
@@ -1388,9 +1253,7 @@ mod tests {
             "restored latch keeps the fallback tier"
         );
         // Tier state is meaningless to other backends.
-        let mut c =
-            ProposedPlanner::compile_dbn(&dbn, CompiledTier::F32, 0.5, SwitchRule::default())
-                .unwrap();
+        let mut c = ProposedPlanner::from_dbn(dbn, 0.5, SwitchRule::default());
         assert!(c.restore_checkpoint(&ckpt).is_err());
     }
 }

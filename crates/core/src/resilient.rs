@@ -30,7 +30,6 @@ const MAX_CONTRACT_VIOLATIONS: usize = 3;
 /// A graceful-degradation wrapper around any [`PeriodPlanner`].
 pub struct ResilientPlanner<'a> {
     inner: Box<dyn PeriodPlanner + 'a>,
-    fallback_pattern: Pattern,
     contract_violations: usize,
     demoted: bool,
     fallback_periods: usize,
@@ -53,7 +52,6 @@ impl<'a> ResilientPlanner<'a> {
     pub fn new(inner: Box<dyn PeriodPlanner + 'a>) -> Self {
         Self {
             inner,
-            fallback_pattern: Pattern::Inter,
             contract_violations: 0,
             demoted: false,
             fallback_periods: 0,
@@ -63,13 +61,6 @@ impl<'a> ResilientPlanner<'a> {
             events: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// Replaces the fallback pattern (default: [`Pattern::Inter`]).
-    #[must_use]
-    pub fn with_fallback_pattern(mut self, pattern: Pattern) -> Self {
-        self.fallback_pattern = pattern;
-        self
     }
 
     /// Enables probation-based re-promotion: while demoted, the inner
@@ -110,9 +101,9 @@ impl<'a> ResilientPlanner<'a> {
     }
 
     /// The fallback decision: keep the current capacitor, admit every
-    /// task, run the configured baseline pattern.
+    /// task, run the inter-task (LSA) baseline pattern.
     fn fallback_decision(&self) -> PlanDecision {
-        PlanDecision::everything(self.fallback_pattern)
+        PlanDecision::everything(Pattern::Inter)
     }
 
     fn engage_fallback(&mut self, flat: usize, reason: String) -> PlanDecision {

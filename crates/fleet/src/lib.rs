@@ -446,12 +446,11 @@ pub struct ScenarioSpec {
     /// Day archetypes; cycled to the grid's day count when shorter,
     /// empty means the four standard archetypes.
     pub days: Vec<DayArchetype>,
-    /// Planner kind: `asap`, `inter`, `intra`, `dbn`, `compiled-dbn`,
-    /// `compiled-dbn-i8`, `distilled`, `mpc`, `optimal`. The compiled
-    /// kinds run the shared DBN through the packed single-sample fast
-    /// path (tolerance-gated, not bit-identical to `dbn`); `distilled`
-    /// runs the branch-free artifact with the compiled `f32` network
-    /// as its fallback tier (agreement-gated against the teacher).
+    /// Planner kind: `asap`, `inter`, `intra`, `dbn`, `distilled`,
+    /// `mpc`, `optimal`. `distilled` runs the branch-free artifact with
+    /// the DBN compiled to packed `f32` as its fallback tier
+    /// (agreement-gated against the teacher, not bit-identical to
+    /// `dbn`).
     pub planner: String,
     /// Capacitor a fixed-pattern planner locks to; defaults to 0 for
     /// `asap`, the largest capacitor otherwise.
@@ -512,21 +511,19 @@ struct Assets {
     graph: TaskGraph,
     ctx: Arc<PlanContext>,
     dbn: Option<Arc<Dbn>>,
-    /// Both compiled tiers of the shared DBN, built once at startup —
-    /// every `compiled-dbn`/`compiled-dbn-i8` scenario clones the
-    /// `Arc`, never the packed weights. The f32 tier is also the
-    /// fallback tier of every `distilled` scenario.
-    compiled_f32: Option<Arc<CompiledDbn>>,
-    compiled_i8: Option<Arc<CompiledDbn>>,
-    /// The service-wide fold table over the distilled decision
-    /// artifact (reloaded from its JSON form at startup, and reachable
-    /// as `fold_table.policy()`): every `distilled` scenario in every
-    /// request shares it, so a period's constant prefix is prewalked
-    /// and folded once per fleet, not once per scenario. Sharing is
-    /// byte-invisible (the folded and flat paths are bit-identical)
-    /// and survives checkpoint/resume — the checkpoint carries the
-    /// key, never the table.
-    fold_table: Option<Arc<FoldTable>>,
+    /// What every `distilled` scenario is built from, present only
+    /// when the config has a `distill` spec:
+    /// * the service-wide fold table over the distilled decision
+    ///   artifact (reloaded from its JSON form at startup, and
+    ///   reachable as `table.policy()`): every `distilled` scenario in
+    ///   every request shares it, so a period's constant prefix is
+    ///   prewalked and folded once per fleet, not once per scenario.
+    ///   Sharing is byte-invisible (the folded and flat paths are
+    ///   bit-identical) and survives checkpoint/resume — the
+    ///   checkpoint carries the key, never the table;
+    /// * the teacher DBN compiled to packed `f32`, the artifact's
+    ///   fallback tier, compiled once and shared by `Arc`.
+    distilled: Option<(Arc<FoldTable>, Arc<CompiledDbn>)>,
     delta: f64,
     dp: DpConfig,
 }
@@ -582,17 +579,6 @@ impl FleetService {
             Some(spec) => Some(Arc::new(train_dbn(&node, &graph, cfg, spec)?)),
             None => None,
         };
-        let compile = |tier| -> Result<Option<Arc<CompiledDbn>>, FleetError> {
-            dbn.as_deref()
-                .map(|d| {
-                    CompiledDbn::compile(d, tier)
-                        .map(Arc::new)
-                        .map_err(|e| FleetError::Config(e.to_string()))
-                })
-                .transpose()
-        };
-        let compiled_f32 = compile(CompiledTier::F32)?;
-        let compiled_i8 = compile(CompiledTier::Int8)?;
         let distilled = match (&cfg.distill, dbn.as_deref()) {
             (Some(spec), Some(teacher)) => {
                 let mut dcfg = DistillConfig::small(spec.seed);
@@ -611,7 +597,10 @@ impl FleetService {
                     .map_err(|e| FleetError::Config(format!("artifact serialisation: {e}")))?;
                 let reloaded = DistilledPolicy::from_json(&json)
                     .map_err(|e| FleetError::Config(format!("artifact reload: {e}")))?;
-                Some(Arc::new(reloaded))
+                let table = FoldTable::new(Arc::new(reloaded), FoldTable::DEFAULT_CAPACITY);
+                let fallback = CompiledDbn::compile(teacher, CompiledTier::F32)
+                    .map_err(|e| FleetError::Config(e.to_string()))?;
+                Some((Arc::new(table), Arc::new(fallback)))
             }
             (Some(_), None) => {
                 return Err(FleetError::Config(
@@ -620,9 +609,6 @@ impl FleetService {
             }
             (None, _) => None,
         };
-        let fold_table = distilled
-            .as_ref()
-            .map(|p| Arc::new(FoldTable::new(Arc::clone(p), FoldTable::DEFAULT_CAPACITY)));
         let workers = cfg
             .threads
             .unwrap_or_else(helio_par::configured_threads)
@@ -635,9 +621,7 @@ impl FleetService {
                 graph,
                 ctx,
                 dbn,
-                compiled_f32,
-                compiled_i8,
-                fold_table,
+                distilled,
                 delta: cfg.delta,
                 dp: cfg.dp,
             },
@@ -921,9 +905,7 @@ fn make_planner(
         node,
         graph,
         dbn,
-        compiled_f32,
-        compiled_i8,
-        fold_table,
+        distilled,
         delta,
         dp,
         ..
@@ -959,34 +941,11 @@ fn make_planner(
                 SwitchRule::default(),
             ))
         }
-        kind @ ("compiled-dbn" | "compiled-dbn-i8") => {
-            let artifact = match kind {
-                "compiled-dbn" => compiled_f32,
-                _ => compiled_i8,
-            };
-            let artifact = artifact.as_ref().ok_or_else(|| {
-                FleetError::Protocol(format!(
-                    "scenario requests the {kind} planner but the fleet config trained no DBN"
-                ))
-            })?;
-            Box::new(ProposedPlanner::from_compiled_dbn(
-                Arc::clone(artifact),
-                delta,
-                SwitchRule::default(),
-            ))
-        }
         "distilled" => {
-            let table = fold_table.as_ref().ok_or_else(|| {
+            let (table, fallback) = distilled.as_ref().ok_or_else(|| {
                 FleetError::Protocol(
                     "scenario requests the distilled planner but the fleet config has no \
                      `distill` spec"
-                        .into(),
-                )
-            })?;
-            let fallback = compiled_f32.as_ref().ok_or_else(|| {
-                FleetError::Protocol(
-                    "scenario requests the distilled planner but the fleet config compiled no \
-                     fallback DBN"
                         .into(),
                 )
             })?;
@@ -1018,8 +977,8 @@ fn make_planner(
         }
         other => {
             return Err(FleetError::Protocol(format!(
-                "unknown planner `{other}` (expected asap, inter, intra, dbn, \
-                 compiled-dbn, compiled-dbn-i8, distilled, mpc, optimal, chaos-panic:<period>)"
+                "unknown planner `{other}` (expected asap, inter, intra, dbn, distilled, mpc, \
+                 optimal, chaos-panic:<period>)"
             )))
         }
     };

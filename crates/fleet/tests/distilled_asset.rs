@@ -27,10 +27,10 @@ fn distilled_scenarios_serve_from_the_shared_artifact() {
     let input = session(
         CONFIG,
         &[
-            // The artifact row next to its own fallback tier, plus a
-            // resilient wrapping — the full chain the robustness
-            // suite exercises.
-            r#"{"id":1,"scenarios":[{"planner":"distilled"},{"planner":"compiled-dbn"},{"planner":"distilled","resilient":true}]}"#,
+            // The artifact row next to its teacher, plus a resilient
+            // wrapping — the full chain the robustness suite
+            // exercises.
+            r#"{"id":1,"scenarios":[{"planner":"distilled"},{"planner":"dbn"},{"planner":"distilled","resilient":true}]}"#,
         ],
     );
     let mut out = Vec::new();
@@ -45,7 +45,7 @@ fn distilled_scenarios_serve_from_the_shared_artifact() {
         lines[0]
     );
     assert!(
-        lines[1].contains(r#""planner":"compiled-dbn""#),
+        lines[1].contains(r#""planner":"proposed-dbn""#),
         "{}",
         lines[1]
     );
@@ -99,4 +99,37 @@ fn distill_without_a_dbn_is_a_config_error() {
         .err()
         .expect("config accepted a distill spec with no dbn");
     assert!(err.to_string().contains("requires a `dbn` spec"), "{err}");
+}
+
+#[test]
+fn retired_compiled_kinds_are_unknown_planners() {
+    // The compiled network serves only as the distilled artifact's
+    // fallback tier: naming it as a planner kind is an unknown-planner
+    // error answered inline, and the session keeps serving.
+    let input = session(
+        CONFIG,
+        &[
+            r#"{"id":2,"scenarios":[{"planner":"compiled-dbn"}]}"#,
+            r#"{"id":3,"scenarios":[{"planner":"compiled-dbn-i8"}]}"#,
+            r#"{"id":4,"scenarios":[{"planner":"dbn"}]}"#,
+        ],
+    );
+    let mut out = Vec::new();
+    let service = serve(Cursor::new(input), &mut out).expect("session serves");
+    assert_eq!(service.scenarios_served(), 1);
+    let out = String::from_utf8(out).expect("utf-8 output");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "one line per request: {out}");
+    for (line, id) in lines.iter().zip([2, 3]) {
+        assert!(
+            line.starts_with(&format!(r#"{{"id":{id},"error":""#))
+                && line.contains("unknown planner"),
+            "{line}"
+        );
+    }
+    assert!(
+        lines[2].starts_with(r#"{"id":4,"index":0,"report":"#),
+        "{}",
+        lines[2]
+    );
 }

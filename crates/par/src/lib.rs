@@ -8,9 +8,9 @@
 //! run no matter how the OS schedules the workers.
 //!
 //! Thread count comes from, in priority order:
-//! 1. `HELIO_SERIAL=1` — force single-threaded execution;
-//! 2. `HELIO_THREADS=<n>` — explicit worker count;
-//! 3. `std::thread::available_parallelism()`.
+//! 1. `HELIO_THREADS=<n>` — explicit worker count (`1` forces
+//!    single-threaded execution);
+//! 2. `std::thread::available_parallelism()`.
 
 use std::any::Any;
 use std::env;
@@ -39,9 +39,6 @@ pub fn panic_message(payload: &PanicPayload) -> &str {
 /// Number of worker threads parallel maps will use.
 #[must_use]
 pub fn configured_threads() -> usize {
-    if env::var("HELIO_SERIAL").map(|v| v == "1").unwrap_or(false) {
-        return 1;
-    }
     if let Ok(raw) = env::var("HELIO_THREADS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             return n.max(1);

@@ -81,11 +81,6 @@ impl CapacitorBank {
         self.active
     }
 
-    /// The active capacitor.
-    pub fn active_cap(&self) -> &SuperCap {
-        &self.caps[self.active]
-    }
-
     /// State of the active capacitor.
     pub fn active_state(&self) -> &CapState {
         &self.states[self.active]

@@ -86,54 +86,3 @@ fn fleet_report_matches_sequential_engine() {
         "fleet-streamed report diverged from Engine::run"
     );
 }
-
-/// The compiled planner kinds through the full service: one session
-/// training a quick DBN, then `dbn`, `compiled-dbn` and
-/// `compiled-dbn-i8` scenarios on the same seed. The compiled rows
-/// must serve (artifacts compiled once at startup, shared via `Arc`)
-/// and land within the tolerance-contract neighbourhood of the f64
-/// reference scenario's DMR.
-#[test]
-fn fleet_serves_compiled_planner_kinds() {
-    let session = concat!(
-        "{\"grid\":{\"days\":1,\"periods\":24,\"slots\":10,\"slot_seconds\":60.0},",
-        "\"capacitors_farads\":[2.0,15.0],\"benchmark\":\"ecg\",\"delta\":0.5,",
-        "\"dp\":{\"voltage_buckets\":6,\"keep_per_level\":1},",
-        "\"dbn\":{\"seed\":11,\"bp_epochs\":50},\"threads\":2}\n",
-        "{\"id\":1,\"scenarios\":[{\"seed\":4,\"planner\":\"dbn\"},",
-        "{\"seed\":4,\"planner\":\"compiled-dbn\"},",
-        "{\"seed\":4,\"planner\":\"compiled-dbn-i8\",\"resilient\":true}]}\n",
-    );
-    let mut out: Vec<u8> = Vec::new();
-    let service = helio_fleet::serve(Cursor::new(session), &mut out).expect("session serves");
-    assert_eq!(service.scenarios_served(), 3);
-    let out = String::from_utf8(out).expect("utf8 output");
-    let dmr_of = |index: usize| -> f64 {
-        let line = out
-            .lines()
-            .find(|l| l.starts_with(&format!("{{\"id\":1,\"index\":{index},")))
-            .unwrap_or_else(|| panic!("no response for scenario {index}: {out}"));
-        let v = serde_json::parse_value(line).expect("response parses");
-        let num = |p: &serde_json::Value, name: &str| -> f64 {
-            match p.field(name).expect(name) {
-                serde_json::Value::Num(raw) => raw.parse().expect("numeric field"),
-                other => panic!("field {name} is not a number: {other:?}"),
-            }
-        };
-        let periods = v
-            .field("report")
-            .and_then(|r| r.field("periods"))
-            .and_then(serde_json::Value::as_array)
-            .expect("periods array");
-        let misses: f64 = periods.iter().map(|p| num(p, "misses")).sum();
-        let tasks: f64 = periods.iter().map(|p| num(p, "tasks")).sum();
-        misses / tasks
-    };
-    let reference = dmr_of(0);
-    for index in [1, 2] {
-        assert!(
-            (dmr_of(index) - reference).abs() < 0.05,
-            "scenario {index} drifted from the reference DMR"
-        );
-    }
-}

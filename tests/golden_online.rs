@@ -12,37 +12,37 @@
 use std::path::PathBuf;
 
 use helio_bench::golden::{
-    golden_batch_reports, golden_checkpoint_reports, golden_reports, golden_reports_with,
-    golden_sharded_reports, render, GOLDEN_DIR,
+    golden_reports, golden_suite, killed_and_resumed, render, sharded, GoldenDbn, GoldenRun,
+    GOLDEN_DIR,
 };
+use heliosched::SimReport;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_DIR)
+/// Asserts `reports` are the 21 committed golden files byte for byte;
+/// `how` names the path that produced them in the failure message.
+fn assert_matches_committed(reports: &[(String, SimReport)], how: &str) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_DIR);
+    // 6 benchmarks × 3 patterns + optimal + mpc + dbn on ECG.
+    assert_eq!(reports.len(), 21, "{how}: golden suite shrank unexpectedly");
+    for (name, report) in reports {
+        let path = dir.join(format!("{name}.json"));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+        assert_eq!(
+            render(report),
+            committed,
+            "`{name}` diverged from the committed golden ({}) {how}",
+            path.display()
+        );
+    }
 }
 
 #[test]
 fn reports_match_committed_goldens_bytewise() {
-    let dir = golden_dir();
-    let reports = golden_reports();
-    assert!(!reports.is_empty());
-    let mut checked = 0usize;
-    for (name, report) in &reports {
-        let path = dir.join(format!("{name}.json"));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-        let fresh = render(report);
-        assert_eq!(
-            fresh,
-            committed,
-            "SimReport for `{name}` diverged from the committed golden \
-             ({}). If the engine's behaviour changed intentionally, \
-             regenerate with `cargo run -p helio-bench --bin golden_online`.",
-            path.display()
-        );
-        checked += 1;
-    }
-    // 6 benchmarks × 3 patterns + optimal + mpc + dbn on ECG.
-    assert_eq!(checked, 21, "golden suite shrank unexpectedly");
+    assert_matches_committed(
+        &golden_reports(),
+        "on the sequential engine. If the engine's behaviour changed \
+         intentionally, regenerate with `cargo run -p helio-bench --bin golden_online`.",
+    );
 }
 
 /// The batching gate: every golden case run through `BatchEngine` —
@@ -51,20 +51,12 @@ fn reports_match_committed_goldens_bytewise() {
 /// batched engine's correctness contract over all 21 golden seeds.
 #[test]
 fn batch_engine_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
-    let reports = golden_batch_reports();
-    assert_eq!(reports.len(), 21);
-    for (name, report) in &reports {
-        let path = dir.join(format!("{name}.json"));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-        assert_eq!(
-            render(report),
-            committed,
-            "`{name}` diverged when run through BatchEngine — the batched \
-             path must be byte-identical to the sequential engine"
-        );
-    }
+    let run = |engine: heliosched::BatchEngine<'_>| engine.run().expect("golden batch run");
+    assert_matches_committed(
+        &golden_suite(GoldenDbn::Reference, GoldenRun::Batch(&run)),
+        "when run through BatchEngine — the batched path must be \
+         byte-identical to the sequential engine",
+    );
 }
 
 /// The sharding gate: every golden case run through
@@ -75,22 +67,14 @@ fn batch_engine_reproduces_goldens_bytewise() {
 /// all 21 golden seeds.
 #[test]
 fn sharded_engine_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
     for shards in [1usize, 3] {
-        let reports = golden_sharded_reports(shards);
-        assert_eq!(reports.len(), 21);
-        for (name, report) in &reports {
-            let path = dir.join(format!("{name}.json"));
-            let committed = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-            assert_eq!(
-                render(report),
-                committed,
-                "`{name}` diverged when run through BatchEngine::run_sharded \
-                 with {shards} shards — the sharded path must be byte-identical \
-                 to the sequential engine"
-            );
-        }
+        assert_matches_committed(
+            &golden_suite(GoldenDbn::Reference, GoldenRun::Batch(&sharded(shards))),
+            &format!(
+                "when run through BatchEngine::run_sharded with {shards} shards — \
+                 the sharded path must be byte-identical to the sequential engine"
+            ),
+        );
     }
 }
 
@@ -102,22 +86,17 @@ fn sharded_engine_reproduces_goldens_bytewise() {
 /// the crash-safe resume contract over all 21 golden seeds.
 #[test]
 fn checkpoint_resumed_engine_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
     for (kill, shards) in [(1usize, 1usize), (48, 3), (95, 3)] {
-        let reports = golden_checkpoint_reports(kill, shards);
-        assert_eq!(reports.len(), 21);
-        for (name, report) in &reports {
-            let path = dir.join(format!("{name}.json"));
-            let committed = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-            assert_eq!(
-                render(report),
-                committed,
-                "`{name}` diverged after a kill at period {kill} resumed \
-                 with {shards} shards — checkpoint/resume must be \
-                 byte-identical to the uninterrupted run"
-            );
-        }
+        assert_matches_committed(
+            &golden_suite(
+                GoldenDbn::Reference,
+                GoldenRun::Batch(&killed_and_resumed(kill, shards)),
+            ),
+            &format!(
+                "after a kill at period {kill} resumed with {shards} shards — \
+                 checkpoint/resume must be byte-identical to the uninterrupted run"
+            ),
+        );
     }
 }
 
@@ -126,20 +105,10 @@ fn checkpoint_resumed_engine_reproduces_goldens_bytewise() {
 /// the committed bytes exactly.
 #[test]
 fn empty_fault_harness_reproduces_goldens_bytewise() {
-    let dir = golden_dir();
     let empty = helio_faults::FaultHarness::empty();
-    let reports = golden_reports_with(Some(&empty));
-    assert_eq!(reports.len(), 21);
-    for (name, report) in &reports {
-        let path = dir.join(format!("{name}.json"));
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-        assert_eq!(
-            render(report),
-            committed,
-            "`{name}` diverged under an empty fault harness — the fault \
-             path must be zero-cost and behaviour-neutral when no faults \
-             are planned"
-        );
-    }
+    assert_matches_committed(
+        &golden_suite(GoldenDbn::Reference, GoldenRun::Sequential(Some(&empty))),
+        "under an empty fault harness — the fault path must be zero-cost \
+         and behaviour-neutral when no faults are planned",
+    );
 }
